@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.device.faults import FaultInjector
-from repro.device.nanowire import AccessPort, Nanowire
+from repro.device.nanowire import AccessPort, DataLossError, Nanowire
 from repro.device.parameters import DeviceParameters
 from repro.device.stats import DeviceStats
 from repro.telemetry.spans import NULL_TRACER
@@ -193,9 +193,20 @@ class DomainBlockCluster:
     # lockstep device operations (cost-recorded at cluster level)
 
     def shift(self, direction: int, count: int = 1) -> None:
-        """Shift all tracks in lockstep."""
-        for wire in self.wires:
-            wire.shift(direction, count, record=False)
+        """Shift all tracks in lockstep.
+
+        If a track ejects data the whole command aborts and the cluster
+        keeps its commanded offset. Every track's commanded offset is
+        put back to it, so no track's belief drifts from the cluster's
+        and :meth:`realign` can return the tracks that already moved.
+        """
+        try:
+            for wire in self.wires:
+                wire.shift(direction, count, record=False)
+        except DataLossError:
+            for wire in self.wires:
+                wire.commanded_offset = self._commanded_offset
+            raise
         self._commanded_offset += direction * count
         p = self.params.shift
         self.stats.record(

@@ -1,69 +1,12 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command> [flags]``.
 
-Commands regenerate the paper's tables and figures, or run one-off PIM
-operations for exploration:
-
-    python -m repro table1          # area overhead
-    python -m repro table3          # operation comparison
-    python -m repro table4          # CNN FPS
-    python -m repro table5          # reliability
-    python -m repro table6          # CNN with NMR
-    python -m repro fig10           # Polybench latency
-    python -m repro fig11           # Polybench energy
-    python -m repro fig12           # bitmap indices
-    python -m repro all             # everything
-    python -m repro add 13 200 7    # one PIM addition with cycle cost
-    python -m repro mult 173 219    # one PIM multiplication
-    python -m repro campaign --fault-rate 1e-3 --ops 1000
-                                    # fault campaign, recovery on vs off
-    python -m repro campaign --shards 4 --journal runs/c1
-                                    # sharded campaign: supervised worker
-                                    # processes, per-shard journals, and
-                                    # a merged report bit-identical to
-                                    # the single-process run (exit 3 on
-                                    # a degraded partial report)
-    python -m repro mc additions --trials 10000 --shards 2
-                                    # Monte Carlo fault injection, sharded
-    python -m repro trace mult --out trace.json
-                                    # Chrome-trace one kernel end to end
-    python -m repro report --format md
-                                    # reproduction-fidelity scoreboard
-    python -m repro bench --compare BENCH_history.jsonl
-                                    # bench + regression gate (exit 1 on
-                                    # regression vs the baseline)
-    python -m repro serve --port 8787 --profile storm:tr_fault_rate=0.4
-                                    # the resilient kernel gateway:
-                                    # admission control, deadlines,
-                                    # retries, per-profile breakers;
-                                    # SIGTERM drains and exits 0
-    python -m repro loadbench --profile mixed --requests 80 \
-                              --concurrency 4 --compare LOADBENCH_history.jsonl
-                                    # deterministic closed-loop load
-                                    # bench against the in-process
-                                    # gateway: sustained req/s +
-                                    # p50/p90/p99 latency, gated by the
-                                    # same regression detector as bench
-                                    # (exit 1 on latency regression,
-                                    # 3 if any request failed; add
-                                    # --slo to also gate on the SLO
-                                    # burn-rate engine)
-    python -m repro profile bench --repeats 2 --no-history
-                                    # wrap any command in the sampling
-                                    # profiler; writes speedscope JSON
-                                    # (--profile-out) and collapsed
-                                    # stacks (--folded-out); add
-                                    # --virtual-clock for bit-identical
-                                    # folded output derived from the
-                                    # simulated span tree
-    python -m repro slo --history LOADBENCH_history.jsonl --format md
-                                    # multi-window SLO burn-rate report
-                                    # over the loadbench history (exit
-                                    # 3 while an objective is burning)
-
-Every table/figure command accepts ``--json`` to emit its result as one
-JSON document on stdout instead of the text tables (the document always
-carries the command's ``exit_status``), and ``--metrics-json PATH`` to
-dump the telemetry metrics registry gathered while the command ran.
+Commands regenerate the paper's tables and figures (``table1`` ...
+``fig12``, ``all``, ``report``), run one-off PIM operations (``add``,
+``mult``, ``trace``), fault campaigns (``campaign``, ``mc``, ``chaos``),
+the kernel gateway (``serve``) and the benches (``bench``,
+``loadbench``, ``slo``), or wrap any of them in the sampling profiler
+(``profile``). Each command is a subparser that declares only the flags
+its handler reads; ``python -m repro <command> --help`` lists them.
 
 Exit codes follow the stack-wide contract in :mod:`repro.exitcodes`:
 0 ok, 1 error, 2 usage, 3 degraded-but-usable.
@@ -72,6 +15,8 @@ Exit codes follow the stack-wide contract in :mod:`repro.exitcodes`:
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import sys
 from typing import Any, Dict, List, Optional
@@ -146,6 +91,23 @@ class OutputWriter:
             self.payload["exit_status"] = exit_status
             json.dump(self.payload, self.stream, indent=2, sort_keys=False)
             self.stream.write("\n")
+
+
+def _writes(run):
+    """Adapt ``run(writer, args) -> code`` into a command handler.
+
+    The handler owns one :class:`OutputWriter` (``--json`` picks its
+    mode) and closes it with the exit code the run returned.
+    """
+
+    @functools.wraps(run)
+    def handler(args) -> int:
+        writer = OutputWriter(json_mode=args.json)
+        code = run(writer, args)
+        writer.close(code)
+        return code
+
+    return handler
 
 
 def _run_table1(writer: OutputWriter) -> None:
@@ -269,22 +231,77 @@ def _run_report_command(args) -> int:
     else:
         sys.stdout.write(RENDERERS[fmt](report))
     if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(report.metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.metrics_json, report.metrics)
     return 0
 
 
-def _run_bench(writer: OutputWriter, args) -> int:
-    """Run the bench kernels, extend the history, gate on regressions."""
+def _gate(
+    writer: OutputWriter, args, current: Dict[str, Any], label: str,
+    width: int,
+) -> int:
+    """Compare a bench document with its baseline, then record it.
+
+    The baseline is ``--compare`` (a regression against it exits 1) or,
+    without it, the last ``--history`` entry (drift is reported, never
+    gated). Unless ``--no-history`` the run is then appended to the
+    history; ``--bench-out`` also writes it on its own.
+    """
     import time
 
-    from repro.obs import (
-        BenchHistory,
-        RegressionDetector,
-        load_baseline,
-        run_benchmarks,
-    )
+    from repro.obs import BenchHistory, RegressionDetector, load_baseline
+
+    if args.compare:
+        baseline = load_baseline(args.compare)
+        if baseline is None:
+            raise SystemExit(
+                f"--compare baseline {args.compare!r} does not exist"
+            )
+        baseline_source = args.compare
+    else:
+        baseline = (
+            BenchHistory(args.history).last()
+            if not args.no_history
+            else None
+        )
+        baseline_source = args.history if baseline is not None else None
+
+    code = EXIT_OK
+    if baseline is not None:
+        detector = RegressionDetector(wall_tolerance=args.wall_tolerance)
+        comparison = detector.compare(current, baseline)
+        writer.rows(
+            f"{label} comparison",
+            [c.as_dict() for c in comparison.comparisons],
+            [
+                f"  {c.kernel:{width}s} {c.metric:18s} "
+                f"{c.verdict.value:9s} {c.note}"
+                for c in comparison.comparisons
+                if c.verdict.value != "unchanged"
+            ]
+            or ["  all metrics unchanged"],
+        )
+        summary = comparison.summary()
+        summary["baseline"] = baseline_source
+        writer.section(f"{label} verdicts", summary)
+        if args.compare and comparison.has_regression:
+            code = EXIT_ERROR
+            writer.line(
+                f"\n{label} regressed vs baseline", regressed=True
+            )
+
+    if not args.no_history:
+        BenchHistory(args.history).append(
+            current, meta={"recorded_unix": int(time.time())}
+        )
+    if args.bench_out:
+        _write_json(args.bench_out, current)
+    return code
+
+
+@_writes
+def _run_bench(writer: OutputWriter, args) -> int:
+    """Run the bench kernels, extend the history, gate on regressions."""
+    from repro.obs import run_benchmarks
 
     current = run_benchmarks(args.repeats)
     writer.rows(
@@ -297,105 +314,29 @@ def _run_bench(writer: OutputWriter, args) -> int:
             for k in current["kernels"]
         ],
     )
-
-    history_path = args.history or "BENCH_history.jsonl"
-    if args.compare:
-        baseline = load_baseline(args.compare)
-        if baseline is None:
-            raise SystemExit(
-                f"--compare baseline {args.compare!r} does not exist"
-            )
-        baseline_source = args.compare
-    else:
-        # No explicit baseline: report (but never gate on) the drift
-        # against the previous history entry, when one exists.
-        baseline = (
-            BenchHistory(history_path).last()
-            if not args.no_history
-            else None
-        )
-        baseline_source = history_path if baseline is not None else None
-
-    code = 0
-    if baseline is not None:
-        detector = RegressionDetector(wall_tolerance=args.wall_tolerance)
-        comparison = detector.compare(current, baseline)
-        writer.rows(
-            "bench comparison",
-            [c.as_dict() for c in comparison.comparisons],
-            [
-                f"  {c.kernel:12s} {c.metric:18s} "
-                f"{c.verdict.value:9s} {c.note}"
-                for c in comparison.comparisons
-                if c.verdict.value != "unchanged"
-            ]
-            or ["  all metrics unchanged"],
-        )
-        summary = comparison.summary()
-        summary["baseline"] = baseline_source
-        writer.section("bench verdicts", summary)
-        if args.compare and comparison.has_regression:
-            code = 1
-            writer.line(
-                "\nbench regressed vs baseline", regressed=True
-            )
-
-    if not args.no_history:
-        BenchHistory(history_path).append(
-            current, meta={"recorded_unix": int(time.time())}
-        )
-    if args.bench_out:
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(current, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return code
+    return _gate(writer, args, current, "bench", 12)
 
 
+@_writes
 def _run_loadbench(writer: OutputWriter, args) -> int:
     """Closed-loop service load bench + latency regression gate.
 
-    Mirrors :func:`_run_bench`'s history/compare contract, but the
+    Shares :func:`_run_bench`'s history/compare contract, but the
     document under test is the ``coruscant-loadbench/1`` service-level
     one: sustained req/s plus p50/p90/p99 request latency, produced by
     a deterministic seeded schedule against the in-process gateway.
     """
-    import time
-
-    from repro.obs import (
-        BenchHistory,
-        LOAD_PROFILES,
-        RegressionDetector,
-        load_baseline,
-        run_loadbench,
-    )
-
-    profile = (args.profile or ["mixed"])[0]
-    if profile not in LOAD_PROFILES:
-        raise SystemExit(
-            f"unknown load profile {profile!r}; "
-            f"pick one of {', '.join(sorted(LOAD_PROFILES))}"
-        )
+    from repro.obs import run_loadbench
 
     client = None
     event_log = None
     if args.event_log:
         from repro.service.client import ServiceClient
         from repro.service.gateway import Gateway
-        from repro.telemetry import (
-            EventLog,
-            JsonlSink,
-            TelemetryHub,
-            Tracer,
-        )
 
-        event_log = EventLog(JsonlSink(args.event_log))
+        telemetry, event_log = _event_logged_hub(args.event_log)
         client = ServiceClient(
-            gateway=Gateway(
-                workers=args.concurrency,
-                telemetry=TelemetryHub(
-                    tracer=Tracer(max_roots=4096), events=event_log
-                ),
-            )
+            gateway=Gateway(workers=args.concurrency, telemetry=telemetry)
         )
         client.start()
     slo_engine = None
@@ -405,7 +346,7 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
         slo_engine = SloEngine(burn_threshold=args.slo_burn_threshold)
     try:
         current = run_loadbench(
-            profile=profile,
+            profile=args.profile,
             requests=args.requests,
             seed=args.seed,
             concurrency=args.concurrency,
@@ -449,46 +390,7 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
             for k in current["kernels"]
         ],
     )
-
-    history_path = args.history or "LOADBENCH_history.jsonl"
-    if args.compare:
-        baseline = load_baseline(args.compare)
-        if baseline is None:
-            raise SystemExit(
-                f"--compare baseline {args.compare!r} does not exist"
-            )
-        baseline_source = args.compare
-    else:
-        baseline = (
-            BenchHistory(history_path).last()
-            if not args.no_history
-            else None
-        )
-        baseline_source = history_path if baseline is not None else None
-
-    code = EXIT_OK
-    if baseline is not None:
-        detector = RegressionDetector(wall_tolerance=args.wall_tolerance)
-        comparison = detector.compare(current, baseline)
-        writer.rows(
-            "loadbench comparison",
-            [c.as_dict() for c in comparison.comparisons],
-            [
-                f"  {c.kernel:22s} {c.metric:18s} "
-                f"{c.verdict.value:9s} {c.note}"
-                for c in comparison.comparisons
-                if c.verdict.value != "unchanged"
-            ]
-            or ["  all metrics unchanged"],
-        )
-        summary = comparison.summary()
-        summary["baseline"] = baseline_source
-        writer.section("loadbench verdicts", summary)
-        if args.compare and comparison.has_regression:
-            code = EXIT_ERROR
-            writer.line(
-                "\nloadbench regressed vs baseline", regressed=True
-            )
+    code = _gate(writer, args, current, "loadbench", 22)
     if current["requests_failed"]:
         writer.line(
             f"\n{current['requests_failed']} request(s) failed "
@@ -532,15 +434,6 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
             )
             if code == EXIT_OK:
                 code = EXIT_DEGRADED
-
-    if not args.no_history:
-        BenchHistory(history_path).append(
-            current, meta={"recorded_unix": int(time.time())}
-        )
-    if args.bench_out:
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(current, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return code
 
 
@@ -557,27 +450,56 @@ _EXPERIMENTS = {
 }
 
 
-def _run_add(writer: OutputWriter, values: List[int], trd: int) -> None:
+@_writes
+def _run_experiment(writer: OutputWriter, args) -> int:
+    run = _EXPERIMENTS[args.command]
+    if not args.metrics_json:
+        run(writer)
+        return EXIT_OK
+    # Experiment commands build DBCs internally; the process-wide
+    # active hub catches their device-level stats.
+    from repro.telemetry import TelemetryHub, runtime
+
+    hub = TelemetryHub()
+    with runtime.activated(hub):
+        run(writer)
+    _write_json(args.metrics_json, hub.metrics_dict())
+    return EXIT_OK
+
+
+@_writes
+def _run_all(writer: OutputWriter, args) -> int:
+    for run in _EXPERIMENTS.values():
+        run(writer)
+    return EXIT_OK
+
+
+@_writes
+def _run_add(writer: OutputWriter, args) -> int:
     from repro import CoruscantSystem, MemoryGeometry
 
+    values = [args.first, *args.rest]
     system = CoruscantSystem(
-        trd=trd, geometry=MemoryGeometry(tracks_per_dbc=64)
+        trd=args.trd, geometry=MemoryGeometry(tracks_per_dbc=64)
     )
     n_bits = max(8, max(values).bit_length())
     result = system.add(values, n_bits=n_bits)
     writer.line(
         f"{' + '.join(map(str, values))} = {result.value} "
-        f"[{result.cycles} cycles, TRD={trd}]",
+        f"[{result.cycles} cycles, TRD={args.trd}]",
         operands=values,
         value=result.value,
         cycles=result.cycles,
-        trd=trd,
+        trd=args.trd,
     )
+    return EXIT_OK
 
 
-def _run_mult(writer: OutputWriter, a: int, b: int, trd: int) -> None:
+@_writes
+def _run_mult(writer: OutputWriter, args) -> int:
     from repro import CoruscantSystem, MemoryGeometry
 
+    a, b, trd = args.a, args.b, args.trd
     system = CoruscantSystem(
         trd=trd, geometry=MemoryGeometry(tracks_per_dbc=64)
     )
@@ -593,6 +515,7 @@ def _run_mult(writer: OutputWriter, a: int, b: int, trd: int) -> None:
         trd=trd,
         breakdown=result.breakdown,
     )
+    return EXIT_OK
 
 
 # The stack-wide exit-code contract lives in repro.exitcodes (0 ok,
@@ -649,28 +572,6 @@ def _parse_crash(spec: Optional[str]):
     return crash
 
 
-def _validate_shard_flags(parser, args) -> None:
-    """Shared validation for the sharded campaign/mc flags."""
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.workers is not None and args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        parser.error("--shard-timeout must be > 0")
-    if args.max_shard_retries < 0:
-        parser.error("--max-shard-retries must be >= 0")
-    if args.inject_worker_crash is not None:
-        if args.shards is None and not args.journal:
-            parser.error(
-                "--inject-worker-crash requires a sharded run (--shards N)"
-            )
-        if args.workers == 0:
-            parser.error(
-                "--inject-worker-crash needs worker processes "
-                "(--workers >= 1); in-process shards cannot be killed"
-            )
-
-
 def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     from repro.reliability.sharded import (
         CAMPAIGN_SCHEMA,
@@ -680,7 +581,7 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     config = _campaign_config(args)
     result = run_sharded_campaign(
         config,
-        shards=args.shards,
+        shards=args.shards or 1,
         journal_dir=args.journal,
         workers=args.workers,
         shard_timeout=args.shard_timeout,
@@ -715,14 +616,7 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     )
     exit_code = 0
     if not result.complete:
-        writer.rows(
-            "incomplete shards",
-            result.report["incomplete_shards"],
-            [
-                f"  shard {e['shard']}: {e['reason']}"
-                for e in result.report["incomplete_shards"]
-            ],
-        )
+        _incomplete_shard_rows(writer, result.report)
         writer.line(
             "\ncampaign degraded to a partial report "
             f"(incomplete shards: {result.incomplete_shards})",
@@ -746,41 +640,49 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     return exit_code
 
 
-def _shard_telemetry(args, sharded: bool):
-    """(hub, event_log) for campaign/mc runs per the telemetry flags.
+def _incomplete_shard_rows(writer: OutputWriter, report) -> None:
+    incomplete = report["incomplete_shards"]
+    writer.rows(
+        "incomplete shards",
+        incomplete,
+        [f"  shard {e['shard']}: {e['reason']}" for e in incomplete],
+    )
 
-    Returns (None, None) unless ``--metrics-json`` or ``--event-log``
-    asked for instrumentation. Unsharded runs stamp ``shard_id: 0``
-    onto every event record via the log's common fields; sharded
-    supervisors emit shard lifecycle records that already carry their
-    ``shard_id`` explicitly.
+
+def _run_instrumented(writer: OutputWriter, args, run, sharded: bool) -> int:
+    """``run(writer, args, telemetry=hub)`` under the telemetry flags.
+
+    The hub exists only when ``--metrics-json`` or ``--event-log`` asks
+    for instrumentation. Unsharded runs stamp ``shard_id: 0`` onto every
+    event record via the log's common fields; sharded supervisors emit
+    shard lifecycle records that already carry their ``shard_id``.
     """
     if not (args.metrics_json or args.event_log):
-        return None, None
-    from repro.telemetry import TelemetryHub
+        return run(writer, args)
+    from repro.telemetry import EventLog, JsonlSink, TelemetryHub
 
     event_log = None
     if args.event_log:
-        from repro.telemetry import EventLog, JsonlSink
-
         event_log = EventLog(
             JsonlSink(args.event_log),
             common=None if sharded else {"shard_id": 0},
         )
     hub = TelemetryHub(events=event_log)
-    return hub, event_log
+    try:
+        code = run(writer, args, telemetry=hub)
+    finally:
+        if event_log is not None:
+            event_log.close()
+    if args.metrics_json:
+        _write_json(args.metrics_json, hub.metrics_dict())
+    return code
 
 
 def _run_mc(writer: OutputWriter, args, telemetry=None) -> int:
-    from repro.reliability.sharded import MC_KINDS, MC_SCHEMA, run_sharded_mc
+    from repro.reliability.sharded import MC_SCHEMA, run_sharded_mc
 
-    kind = args.operands[0] if args.operands else "additions"
-    if kind not in MC_KINDS:
-        raise SystemExit(
-            f"unknown mc kind {kind!r}; pick one of {', '.join(MC_KINDS)}"
-        )
     result = run_sharded_mc(
-        kind,
+        args.kind,
         trials=args.trials,
         shards=args.shards or 1,
         fault_rate=args.fault_rate,
@@ -795,7 +697,9 @@ def _run_mc(writer: OutputWriter, args, telemetry=None) -> int:
     )
     summaries = result.shard_summaries()
     writer.meta(schema=MC_SCHEMA, config=result.report["config"])
-    writer.section(f"Monte Carlo ({kind}, merged)", result.report["merged"])
+    writer.section(
+        f"Monte Carlo ({args.kind}, merged)", result.report["merged"]
+    )
     writer.rows(
         "shards",
         summaries,
@@ -808,14 +712,7 @@ def _run_mc(writer: OutputWriter, args, telemetry=None) -> int:
         ],
     )
     if not result.complete:
-        writer.rows(
-            "incomplete shards",
-            result.report["incomplete_shards"],
-            [
-                f"  shard {e['shard']}: {e['reason']}"
-                for e in result.report["incomplete_shards"]
-            ],
-        )
+        _incomplete_shard_rows(writer, result.report)
         return EXIT_INCOMPLETE_SHARDS
     return 0
 
@@ -862,12 +759,41 @@ def _run_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     return exit_code
 
 
+@_writes
+def _run_campaign_command(writer: OutputWriter, args) -> int:
+    """A fault campaign: single-process, or sharded with ``--shards`` /
+    ``--journal``."""
+    sharded = args.shards is not None or bool(args.journal)
+    if args.adaptive and not args.resilience:
+        args.error(
+            "--adaptive requires the resilient layer (drop --no-resilience)"
+        )
+    if sharded and (args.checkpoint or args.stop_after is not None):
+        args.error(
+            "sharded campaigns journal per shard (--journal DIR); "
+            "--checkpoint and --stop-after are for single-process runs"
+        )
+    if args.inject_worker_crash and (not sharded or args.workers == 0):
+        args.error(
+            "--inject-worker-crash needs worker processes: a sharded run "
+            "(--shards N) with --workers >= 1"
+        )
+    run = _run_sharded_campaign if sharded else _run_campaign
+    return _run_instrumented(writer, args, run, sharded)
+
+
+@_writes
+def _run_mc_command(writer: OutputWriter, args) -> int:
+    return _run_instrumented(writer, args, _run_mc, sharded=True)
+
+
 # ----------------------------------------------------------------------
 # trace command
 
 _TRACE_KERNELS = ("add", "mult", "max", "bulk")
 
 
+@_writes
 def _run_trace(writer: OutputWriter, args) -> int:
     """Trace one kernel end to end and write a Chrome trace file."""
     from repro import CoruscantSystem, MemoryGeometry
@@ -876,12 +802,7 @@ def _run_trace(writer: OutputWriter, args) -> int:
     from repro.core.pim_logic import BulkOp
     from repro.telemetry import TelemetryHub, write_chrome_trace
 
-    kernel = args.operands[0] if args.operands else "mult"
-    if kernel not in _TRACE_KERNELS:
-        raise SystemExit(
-            f"unknown trace kernel {kernel!r}; "
-            f"pick one of {', '.join(_TRACE_KERNELS)}"
-        )
+    kernel = args.kernel
     hub = TelemetryHub()
     system = CoruscantSystem(
         trd=args.trd,
@@ -928,27 +849,29 @@ def _run_trace(writer: OutputWriter, args) -> int:
         **outcome,
     )
     if args.metrics_json:
-        _dump_metrics(hub, args.metrics_json)
+        _write_json(args.metrics_json, hub.metrics_dict())
         writer.line(
             f"metrics -> {args.metrics_json}", metrics_json=args.metrics_json
         )
     return 0
 
 
-def _dump_metrics(hub, path: str) -> None:
+def _event_logged_hub(path: str):
+    """(hub, event log) for a gateway streaming its events to ``path``."""
+    from repro.telemetry import EventLog, JsonlSink, TelemetryHub, Tracer
+
+    event_log = EventLog(JsonlSink(path))
+    hub = TelemetryHub(tracer=Tracer(max_roots=4096), events=event_log)
+    return hub, event_log
+
+
+def _write_json(path: str, document: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hub.metrics_dict(), fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _int_operands(parser, args, command: str) -> List[int]:
-    try:
-        return [int(v) for v in args.operands]
-    except ValueError:
-        parser.error(f"{command} operands must be integers")
-
-
-def _run_serve(parser: argparse.ArgumentParser, args) -> int:
+def _run_serve(args) -> int:
     """The resilient kernel gateway: serve until a signal drains us.
 
     Exit codes follow :mod:`repro.exitcodes`: 0 after a clean drain
@@ -967,26 +890,12 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
         run_gateway,
     )
 
-    try:
-        profiles = parse_profile_specs(args.profile)
-    except ValueError as exc:
-        parser.error(str(exc))
     telemetry = None
     event_log = None
     if args.event_log:
-        from repro.telemetry import (
-            EventLog,
-            JsonlSink,
-            TelemetryHub,
-            Tracer,
-        )
-
-        event_log = EventLog(JsonlSink(args.event_log))
-        telemetry = TelemetryHub(
-            tracer=Tracer(max_roots=4096), events=event_log
-        )
+        telemetry, event_log = _event_logged_hub(args.event_log)
     gateway = Gateway(
-        profiles=profiles,
+        profiles=parse_profile_specs(args.profile),
         host=args.host,
         port=args.port,
         admission=AdmissionPolicy(
@@ -997,7 +906,7 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
             open_seconds=args.breaker_open_seconds
         ),
         retry=RetryConfig(attempts=args.retry_attempts, seed=args.seed),
-        workers=args.workers if args.workers is not None else 2,
+        workers=args.workers,
         default_budget_s=args.default_budget_s,
         telemetry=telemetry,
         enable_profiling=args.enable_profiling,
@@ -1031,33 +940,16 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
 # continuous profiling + SLO commands
 
 
-def _run_profile(parser: argparse.ArgumentParser, args) -> int:
-    """``repro profile <command> ...``: wrap any command in the profiler.
+def _run_profile(args) -> int:
+    """``repro profile <command> ...``: run a command under the profiler.
 
     Wall mode samples every ``--profile-interval-ms`` milliseconds via
     the background :class:`SamplingProfiler`; ``--virtual-clock``
     instead derives deterministic folded stacks from the simulated span
     tree plus the ``device.<op>.cycles`` counters after the wrapped
     command finishes, so two identical invocations produce bit-identical
-    folded output.
+    folded output. The wrapped command's exit code passes through.
     """
-    if not args.operands:
-        parser.error(
-            "profile needs a command to wrap, e.g. repro profile bench"
-        )
-    wrapped = args.operands[0]
-    if wrapped == "profile":
-        parser.error("profile cannot wrap itself")
-    if wrapped not in _COMMANDS:
-        parser.error(
-            f"unknown command {wrapped!r} to profile; "
-            f"pick one of {', '.join(_COMMANDS)}"
-        )
-    if args.profile_interval_ms <= 0:
-        parser.error("--profile-interval-ms must be > 0")
-    args.command = wrapped
-    args.operands = args.operands[1:]
-
     from repro.telemetry import TelemetryHub, runtime
     from repro.telemetry.profiler import (
         SamplingProfiler,
@@ -1068,11 +960,12 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
         top_frames,
     )
 
+    wrapped = args.command
     hub = TelemetryHub()
     interval_s = args.profile_interval_ms / 1000.0
     with runtime.activated(hub):
         if args.virtual_clock:
-            code = _dispatch(parser, args)
+            code = args.profiled(args)
             folded = fold_tracer(hub.tracer, hub.metrics)
             document = profile_document(folded, mode="virtual")
             speedscope = speedscope_document(
@@ -1084,7 +977,7 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
             )
             profiler.start()
             try:
-                code = _dispatch(parser, args)
+                code = args.profiled(args)
             finally:
                 profiler.stop()
             folded = profiler.folded()
@@ -1093,9 +986,7 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
                 folded, name=f"repro {wrapped}", interval_s=interval_s
             )
 
-    with open(args.profile_out, "w", encoding="utf-8") as fh:
-        json.dump(speedscope, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.profile_out, speedscope)
     if args.folded_out:
         with open(args.folded_out, "w", encoding="utf-8") as fh:
             fh.write(render_collapsed(folded))
@@ -1114,7 +1005,7 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
     return code
 
 
-def _run_slo(parser: argparse.ArgumentParser, args) -> int:
+def _run_slo(args) -> int:
     """``repro slo``: burn-rate report over the loadbench history.
 
     Replays every history entry through the SLO engine on the virtual
@@ -1129,22 +1020,15 @@ def _run_slo(parser: argparse.ArgumentParser, args) -> int:
     )
 
     fmt = args.format or ("json" if args.json else "md")
-    if fmt not in ("md", "json"):
-        parser.error("slo supports --format md or json")
-    if args.slo_burn_threshold <= 0:
-        parser.error("--slo-burn-threshold must be > 0")
-    if args.slo_step <= 0:
-        parser.error("--slo-step must be > 0")
-    history_path = args.history or "LOADBENCH_history.jsonl"
     documents = [
-        entry["bench"] for entry in BenchHistory(history_path).load()
+        entry["bench"] for entry in BenchHistory(args.history).load()
     ]
     report = evaluate_history(
         documents,
         burn_threshold=args.slo_burn_threshold,
         virtual_step_s=args.slo_step,
     )
-    report["history"] = history_path
+    report["history"] = args.history
     code = slo_exit_code(report)
     if fmt == "json":
         report["exit_status"] = code
@@ -1155,7 +1039,7 @@ def _run_slo(parser: argparse.ArgumentParser, args) -> int:
     return code
 
 
-def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
+def _run_chaos(args) -> int:
     """``repro chaos``: seed-reproducible service-stack fault campaign.
 
     Compiles a deterministic fault timeline, drives the loadgen mix
@@ -1166,35 +1050,13 @@ def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
     same seed/flags.
     """
     from repro.chaos.campaign import run_campaign
-    from repro.chaos.faults import parse_fault_specs
-    from repro.obs.loadgen import LOAD_PROFILES
 
-    if args.duration_ops < 1:
-        parser.error("--duration-ops must be >= 1")
-    try:
-        specs = parse_fault_specs(
-            args.faults or "worker-crash:1,torn-wal:1"
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    load_profile = "mixed"
-    if args.profile:
-        if len(args.profile) != 1:
-            parser.error(
-                "chaos takes exactly one --profile (a load-mix name)"
-            )
-        load_profile = args.profile[0]
-    if load_profile not in LOAD_PROFILES:
-        parser.error(
-            f"--profile must be a load mix: "
-            f"{', '.join(sorted(LOAD_PROFILES))}"
-        )
     report = run_campaign(
         seed=args.seed,
-        fault_specs=specs,
+        fault_specs=args.faults,
         duration_ops=args.duration_ops,
         journal_dir=args.journal,
-        load_profile=load_profile,
+        load_profile=args.profile,
         inject_violation=args.inject_invariant_violation,
     )
     code = EXIT_OK if report["ok"] else EXIT_DEGRADED
@@ -1211,7 +1073,7 @@ def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
     fired = len(report["fired"])
     print(
         f"chaos campaign: seed={args.seed} "
-        f"ops={args.duration_ops} mix={load_profile} "
+        f"ops={args.duration_ops} mix={args.profile} "
         f"faults={fired} fired / {len(report['unfired'])} unfired"
     )
     journal = report["journal"]
@@ -1232,492 +1094,579 @@ def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
     return code
 
 
-_COMMANDS = sorted(_EXPERIMENTS) + [
-    "all", "add", "mult", "campaign", "chaos", "mc", "trace", "bench",
-    "loadbench", "serve", "profile", "slo",
-]
+# ----------------------------------------------------------------------
+# flag value types: argparse applies them while parsing, so a bad value
+# is a usage error (exit 2) before any handler runs
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="CORUSCANT processing-in-racetrack-memory simulator",
-    )
-    parser.add_argument(
-        "command",
-        choices=_COMMANDS,
-        help="experiment to regenerate, a one-off PIM operation, the "
-             "fidelity scoreboard (report), the bench regression gate "
-             "(bench), the closed-loop service load bench (loadbench), "
-             "a fault campaign (campaign), a deterministic service-"
-             "stack chaos campaign (chaos), Monte Carlo fault-injection "
-             "trials (mc), the resilient kernel gateway (serve), the "
-             "sampling profiler wrapper (profile), or the SLO burn-rate "
-             "report (slo)",
-    )
-    parser.add_argument(
-        "operands", nargs="*",
-        help="operands for add/mult, the kernel name for trace "
-             f"({', '.join(_TRACE_KERNELS)}), the trial kind for mc "
-             "(additions, multiplies, tmr_additions), or the wrapped "
-             "command (plus its operands) for profile",
-    )
-    parser.add_argument(
+def _checked(cast, ok, need: str):
+    """A ``type=`` that casts the text, then insists on ``ok(value)``."""
+
+    def convert(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    convert.__name__ = cast.__name__
+    return convert
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
+_NON_NEGATIVE = _checked(float, lambda v: v >= 0, ">= 0")
+_PROBABILITY = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_NONZERO_PROBABILITY = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
+# The names and specs below are checked by the modules that use them,
+# imported on first use: building the parser imports no command's code.
+
+
+def _reports_value_errors(parse):
+    """A ``type=`` that turns ``parse``'s ValueError into a usage error."""
+
+    @functools.wraps(parse)
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+@_reports_value_errors
+def _fault_specs(text: str):
+    from repro.chaos.faults import parse_fault_specs
+
+    return parse_fault_specs(text)
+
+
+@_reports_value_errors
+def _device_profile(spec: str) -> str:
+    from repro.service.profiles import DeviceProfile
+
+    DeviceProfile.parse(spec)
+    return spec
+
+
+def _name_in(module: str, table: str, what: str):
+    """A ``type=`` accepting the keys of ``module.table``."""
+
+    def convert(name: str) -> str:
+        names = getattr(importlib.import_module(module), table)
+        if name not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {name!r}; "
+                f"pick one of {', '.join(sorted(names))}"
+            )
+        return name
+
+    return convert
+
+
+_LOAD_MIX = _name_in("repro.obs.loadgen", "LOAD_PROFILES", "load mix")
+_MC_KIND = _name_in("repro.reliability.sharded", "MC_KINDS", "mc kind")
+
+
+# ----------------------------------------------------------------------
+# flags, in the groups the commands share
+
+
+def _json_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--json", action="store_true",
-        help="emit the command's result as one JSON document on stdout",
+        help="emit the result as one JSON document, with its exit_status",
     )
-    parser.add_argument(
-        "--metrics-json", metavar="PATH", default=None,
-        help="dump the telemetry metrics registry gathered while the "
-             "command ran to PATH (trace, campaign, report)",
+
+
+def _metrics_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--metrics-json", metavar="PATH",
+        help="dump the telemetry metrics gathered during the run to PATH",
     )
-    parser.add_argument(
-        "--out", metavar="PATH", default="trace.json",
-        help="Chrome trace output path for the trace command "
-             "(default trace.json)",
-    )
-    parser.add_argument(
+
+
+def _trd_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--trd", type=int, default=7, choices=(3, 5, 7),
         help="transverse read distance (default 7)",
     )
-    parser.add_argument(
-        "--fault-rate", type=float, default=1e-3,
-        help="injected per-TR fault probability for campaigns",
+
+
+def _seed_flag(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument("--seed", type=int, default=0, help=f"{what} (default 0)")
+
+
+def _event_log_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--event-log", metavar="PATH",
+        help="write the coruscant-events/1 JSONL event stream to PATH",
     )
-    parser.add_argument(
-        "--shift-fault-rate", type=float, default=0.0,
-        help="injected per-shift fault probability for campaigns",
+
+
+def _budget_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--default-budget-s", type=_POSITIVE, default=10.0,
+        metavar="SECONDS",
+        help="deadline for requests that carry none (default 10)",
     )
-    parser.add_argument(
-        "--resilience", dest="resilience", action="store_true",
-        default=True,
-        help="run campaigns under the resilient execution layer "
-             "(default; prints the unprotected baseline alongside)",
+
+
+def _load_mix_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--profile", type=_LOAD_MIX, default="mixed", metavar="MIX",
+        help="load mix: mixed (default), arithmetic or analytics",
     )
-    parser.add_argument(
-        "--no-resilience", dest="resilience", action="store_false",
-        help="run campaigns bare: faults silently corrupt results",
+
+
+def _slo_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--slo-burn-threshold", type=_POSITIVE, default=14.4, metavar="X",
+        help="multi-window burn-rate alert threshold (default 14.4)",
     )
-    parser.add_argument(
-        "--ops", type=int, default=1000,
-        help="operations per campaign (default 1000)",
+    p.add_argument(
+        "--slo-step", type=_POSITIVE, default=6.0, metavar="SECONDS",
+        help="virtual seconds per completed request (default 6)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="campaign RNG seed",
+
+
+def _gate_flags(p: argparse.ArgumentParser, history: str) -> None:
+    p.add_argument(
+        "--history", metavar="PATH", default=history,
+        help=f"history JSONL to append to and, without --compare, report "
+             f"drift against (default {history})",
     )
-    parser.add_argument(
-        "--scrub-interval", type=int, default=None, metavar="OPS",
-        help="proactively scrub every N memory operations (campaigns)",
-    )
-    parser.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive BARE->VOTED->NMR protection ladder per DBC "
-             "(campaigns; requires resilience)",
-    )
-    parser.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="journal campaign state to PATH; resumes from it if present "
-             "(single-process runs; sharded runs use --journal DIR)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="split the campaign/mc run into N supervised worker "
-             "processes with per-shard journals and a merged report "
-             "bit-identical to the single-process run",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes per wave for sharded runs (default: one "
-             "per shard; 0 runs the shards sequentially in-process)",
-    )
-    parser.add_argument(
-        "--journal", metavar="DIR", default=None,
-        help="directory for per-shard journals (journal.shard-K.json) "
-             "and the merged report.json; shards resume from it",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and retry a shard worker that runs longer than this",
-    )
-    parser.add_argument(
-        "--max-shard-retries", type=int, default=2, metavar="R",
-        help="retries per shard before the run degrades to a partial "
-             "report (default 2); exhausted shards are listed in "
-             "incomplete_shards and the command exits 3",
-    )
-    parser.add_argument(
-        "--inject-worker-crash", metavar="SHARD:OP[:MODE]", default=None,
-        help="test/CI hook: SIGKILL (kill), hang (hang), or repeatedly "
-             "kill (kill-always) the worker of SHARD at global op OP",
-    )
-    parser.add_argument(
-        "--trials", type=int, default=1000, metavar="N",
-        help="Monte Carlo trials for the mc command (default 1000)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=100, metavar="OPS",
-        help="ops between journal writes (default 100)",
-    )
-    parser.add_argument(
-        "--stop-after", type=int, default=None, metavar="OPS",
-        help="run at most N ops this invocation (resume later from the "
-             "journal)",
-    )
-    parser.add_argument(
-        "--storm-ops", type=int, default=None, metavar="OPS",
-        help="after N ops drop the injected rates to the calm rates",
-    )
-    parser.add_argument(
-        "--calm-fault-rate", type=float, default=0.0,
-        help="per-TR fault probability after the storm (default 0)",
-    )
-    parser.add_argument(
-        "--calm-shift-fault-rate", type=float, default=0.0,
-        help="per-shift fault probability after the storm (default 0)",
-    )
-    parser.add_argument(
-        "--storage-rows", type=int, default=0, metavar="N",
-        help="also drive validated regular reads/writes over N storage "
-             "rows (exercises the scrubber)",
-    )
-    parser.add_argument(
-        "--format", choices=("md", "html", "json"), default=None,
-        help="scoreboard format for the report command (default md)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="wall-clock repeats per bench kernel (default 3)",
-    )
-    parser.add_argument(
-        "--history", metavar="PATH", default=None,
-        help="history JSONL the bench/loadbench commands append to "
-             "and, without --compare, report drift against (defaults: "
-             "BENCH_history.jsonl for bench, LOADBENCH_history.jsonl "
-             "for loadbench)",
-    )
-    parser.add_argument(
+    p.add_argument(
         "--no-history", action="store_true",
-        help="neither read nor extend the bench history file",
+        help="neither read nor extend the history",
     )
-    parser.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="gate the bench run against BASELINE (a bench history "
-             "JSONL or one BENCH_pim_ops.json document); exits 1 on "
-             "any regression verdict",
+    p.add_argument(
+        "--compare", metavar="BASELINE",
+        help="gate against BASELINE (a history JSONL or one bench "
+             "document); exit 1 on any regression",
     )
-    parser.add_argument(
-        "--bench-out", metavar="PATH", default=None,
+    p.add_argument(
+        "--bench-out", metavar="PATH",
         help="also write the bench document to PATH",
     )
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=0.25, metavar="FRAC",
-        help="relative wall-clock noise band for bench verdicts "
-             "(default 0.25)",
+    p.add_argument(
+        "--wall-tolerance", type=_NON_NEGATIVE, default=0.25,
+        metavar="FRAC",
+        help="relative wall-clock noise band (default 0.25)",
     )
-    parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="serve: bind address (default 127.0.0.1)",
+
+
+def _shard_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--shards", type=_AT_LEAST_1, metavar="N",
+        help="split the run into N supervised shards whose merged report "
+             "is bit-identical to the single-process run",
     )
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="serve: TCP port (default 0 = pick a free port)",
+    p.add_argument(
+        "--workers", type=_AT_LEAST_0, metavar="N",
+        help="worker processes per wave (default one per shard; 0 runs "
+             "the shards in-process)",
     )
-    parser.add_argument(
-        "--port-file", metavar="PATH", default=None,
-        help="serve: write the bound port to PATH once listening "
-             "(lets scripts use --port 0 races-free)",
+    p.add_argument(
+        "--journal", metavar="DIR",
+        help="directory for the per-shard journals and the merged "
+             "report.json; shards resume from it",
     )
-    parser.add_argument(
-        "--profile", action="append", metavar="NAME[:k=v,...]",
-        default=None,
-        help="serve: add a device profile, e.g. "
-             "storm:trd=7,tr_fault_rate=0.4 (repeatable; 'default' "
-             "always exists); loadbench: the load-mix name "
-             "(mixed, arithmetic, analytics; default mixed)",
+    p.add_argument(
+        "--shard-timeout", type=_POSITIVE, metavar="SECONDS",
+        help="kill and retry a shard worker that runs longer than this",
     )
-    parser.add_argument(
-        "--requests", type=int, default=50, metavar="N",
-        help="loadbench: schedule length (default 50)",
+    p.add_argument(
+        "--max-shard-retries", type=_AT_LEAST_0, default=2, metavar="R",
+        help="retries per shard before the run degrades to a partial "
+             "report and exits 3 (default 2)",
     )
-    parser.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="loadbench: wall-clock cap; requests still unissued when "
-             "it expires are counted as skipped (default: run the "
-             "whole schedule)",
+    p.add_argument(
+        "--checkpoint-every", type=_AT_LEAST_1, default=100, metavar="OPS",
+        help="ops between journal writes (default 100)",
     )
-    parser.add_argument(
-        "--concurrency", type=int, default=2, metavar="N",
-        help="loadbench: closed-loop generator threads, each waiting "
-             "for its previous response before issuing the next "
-             "request (default 2)",
+
+
+# ----------------------------------------------------------------------
+# each command's flags
+
+
+def _experiment_flags(p: argparse.ArgumentParser) -> None:
+    _json_flag(p)
+    _metrics_flag(p)
+
+
+def _add_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("first", type=int, metavar="A", help="first operand")
+    p.add_argument(
+        "rest", type=int, nargs="+", metavar="B", help="the other operands"
     )
-    parser.add_argument(
-        "--event-log", metavar="PATH", default=None,
-        help="serve/loadbench/campaign/mc: write the structured "
-             "coruscant-events/1 JSONL event stream (size-rotated) to "
-             "PATH; campaign/mc records carry a shard_id",
+    _trd_flag(p)
+    _json_flag(p)
+
+
+def _mult_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("a", type=int, help="multiplicand")
+    p.add_argument("b", type=int, help="multiplier")
+    _trd_flag(p)
+    _json_flag(p)
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--format", choices=("md", "html", "json"),
+        help="scoreboard format (default md, or json with --json)",
     )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=16, metavar="N",
-        help="serve: per-kernel queue slots batch traffic may fill "
-             "(default 16)",
+    _json_flag(p)
+    _metrics_flag(p)
+
+
+def _campaign_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--ops", type=_AT_LEAST_1, default=1000,
+        help="operations per campaign (default 1000)",
     )
-    parser.add_argument(
-        "--high-reserve", type=int, default=4, metavar="N",
-        help="serve: extra queue slots only interactive requests may "
-             "use (default 4)",
+    p.add_argument(
+        "--fault-rate", type=_PROBABILITY, default=1e-3,
+        help="injected per-TR fault probability (default 1e-3)",
     )
-    parser.add_argument(
-        "--retry-attempts", type=int, default=3, metavar="N",
-        help="serve: tries per work item, 1 = no retry (default 3)",
+    p.add_argument(
+        "--shift-fault-rate", type=_PROBABILITY, default=0.0,
+        help="injected per-shift fault probability (default 0)",
     )
-    parser.add_argument(
-        "--breaker-open-seconds", type=float, default=5.0,
-        metavar="SECONDS",
-        help="serve: wall-clock cooldown before an open breaker "
-             "half-opens (default 5)",
+    _trd_flag(p)
+    _seed_flag(p, "campaign RNG seed")
+    p.add_argument(
+        "--resilience", dest="resilience", action="store_true",
+        default=True,
+        help="run under the resilient execution layer, beside the bare "
+             "baseline (default)",
     )
-    parser.add_argument(
-        "--default-budget-s", type=float, default=10.0,
-        metavar="SECONDS",
-        help="serve: deadline budget for requests that do not carry "
-             "one (default 10)",
+    p.add_argument(
+        "--no-resilience", dest="resilience", action="store_false",
+        help="run bare only: faults silently corrupt results",
     )
-    parser.add_argument(
-        "--enable-profiling", action="store_true",
-        help="serve: allow POST /debug/profile/start|stop on the "
-             "gateway (rejected 403 otherwise)",
+    p.add_argument(
+        "--scrub-interval", type=_AT_LEAST_1, metavar="OPS",
+        help="proactively scrub every N memory operations",
     )
-    parser.add_argument(
-        "--profile-out", metavar="PATH",
-        default="profile.speedscope.json",
-        help="profile: speedscope JSON output path "
-             "(default profile.speedscope.json)",
+    p.add_argument(
+        "--adaptive", action="store_true",
+        help="adaptive BARE->VOTED->NMR protection ladder per DBC",
     )
-    parser.add_argument(
-        "--folded-out", metavar="PATH", default=None,
-        help="profile: also write collapsed-stack text "
-             "(flamegraph.pl / speedscope import format) to PATH",
+    p.add_argument(
+        "--storm-ops", type=int, metavar="OPS",
+        help="after N ops drop the injected rates to the calm rates",
     )
-    parser.add_argument(
-        "--profile-record", metavar="PATH", default=None,
-        help="profile: append the coruscant-profile/1 JSONL record "
-             "(folded stacks + phases + per-request ledger) to PATH",
+    p.add_argument(
+        "--calm-fault-rate", type=_PROBABILITY, default=0.0,
+        help="per-TR fault probability after the storm (default 0)",
     )
-    parser.add_argument(
-        "--profile-interval-ms", type=float, default=5.0, metavar="MS",
-        help="profile: wall sampling interval in milliseconds "
-             "(default 5)",
+    p.add_argument(
+        "--calm-shift-fault-rate", type=_PROBABILITY, default=0.0,
+        help="per-shift fault probability after the storm (default 0)",
     )
-    parser.add_argument(
-        "--virtual-clock", action="store_true",
-        help="profile: derive deterministic folded stacks from the "
-             "simulated span tree + device cycle counters instead of "
-             "wall sampling (bit-identical across runs)",
+    p.add_argument(
+        "--storage-rows", type=_AT_LEAST_0, default=0, metavar="N",
+        help="also drive validated reads/writes over N storage rows",
     )
-    parser.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="chaos: comma-joined kind:count[@param] fault specs, e.g. "
-             "worker-crash:2,torn-wal:2,kernel-latency:4@0.002 "
+    p.add_argument(
+        "--checkpoint", metavar="PATH",
+        help="journal a single-process run to PATH; resume from it if "
+             "present",
+    )
+    p.add_argument(
+        "--stop-after", type=_AT_LEAST_0, metavar="OPS",
+        help="run at most N ops this invocation (resume from the "
+             "--checkpoint journal)",
+    )
+    _shard_flags(p)
+    p.add_argument(
+        "--inject-worker-crash", metavar="SHARD:OP[:MODE]",
+        help="test hook: kill, hang or kill-always the worker of SHARD "
+             "at global op OP",
+    )
+    _metrics_flag(p)
+    _event_log_flag(p)
+    _json_flag(p)
+    # The checks between this command's own flags report through it.
+    p.set_defaults(error=p.error)
+
+
+def _mc_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "kind", nargs="?", default="additions", type=_MC_KIND,
+        help="additions (default), multiplies or tmr_additions",
+    )
+    p.add_argument(
+        "--trials", type=_AT_LEAST_1, default=1000, metavar="N",
+        help="Monte Carlo trials (default 1000)",
+    )
+    p.add_argument(
+        "--fault-rate", type=_NONZERO_PROBABILITY, default=1e-3,
+        help="injected per-TR fault probability (default 1e-3)",
+    )
+    _trd_flag(p)
+    _seed_flag(p, "trial RNG seed")
+    _shard_flags(p)
+    _metrics_flag(p)
+    _event_log_flag(p)
+    _json_flag(p)
+
+
+def _chaos_flags(p: argparse.ArgumentParser) -> None:
+    _seed_flag(p, "fault timeline and load schedule seed")
+    p.add_argument(
+        "--faults", type=_fault_specs, default="worker-crash:1,torn-wal:1",
+        metavar="SPEC",
+        help="comma-joined kind:count[@param] fault specs "
              "(default worker-crash:1,torn-wal:1)",
     )
-    parser.add_argument(
-        "--duration-ops", type=int, default=40, metavar="N",
-        help="chaos: operations in the campaign's load schedule "
-             "(default 40)",
+    p.add_argument(
+        "--duration-ops", type=_AT_LEAST_1, default=40, metavar="N",
+        help="operations in the load schedule (default 40)",
     )
-    parser.add_argument(
-        "--report-out", metavar="PATH", default=None,
-        help="chaos: write the canonical coruscant-chaos/1 report "
-             "(sorted-key JSON, byte-identical across runs of one "
-             "seed) to PATH",
+    _load_mix_flag(p)
+    p.add_argument(
+        "--journal", metavar="DIR",
+        help="keep the request journal in DIR (default a temporary one)",
     )
-    parser.add_argument(
+    p.add_argument(
+        "--report-out", metavar="PATH",
+        help="write the canonical, byte-reproducible report to PATH",
+    )
+    p.add_argument(
         "--inject-invariant-violation", action="store_true",
-        help="chaos: CI hook — fabricate a lost acked request so the "
-             "no-acked-request-lost invariant goes red and the command "
-             "exits 3",
+        help="CI hook: fake a lost acked request so the run exits 3",
     )
-    parser.add_argument(
+    _json_flag(p)
+
+
+def _trace_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "kernel", nargs="?", default="mult", choices=_TRACE_KERNELS,
+        help="kernel to trace (default mult)",
+    )
+    p.add_argument(
+        "--out", metavar="PATH", default="trace.json",
+        help="Chrome trace output path (default trace.json)",
+    )
+    _trd_flag(p)
+    _metrics_flag(p)
+    _json_flag(p)
+
+
+def _bench_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--repeats", type=_AT_LEAST_1, default=3, metavar="N",
+        help="wall-clock repeats per bench kernel (default 3)",
+    )
+    _gate_flags(p, "BENCH_history.jsonl")
+    _json_flag(p)
+
+
+def _loadbench_flags(p: argparse.ArgumentParser) -> None:
+    _load_mix_flag(p)
+    p.add_argument(
+        "--requests", type=_AT_LEAST_1, default=50, metavar="N",
+        help="schedule length (default 50)",
+    )
+    _seed_flag(p, "schedule seed")
+    p.add_argument(
+        "--concurrency", type=_AT_LEAST_1, default=2, metavar="N",
+        help="closed-loop generator threads (default 2)",
+    )
+    p.add_argument(
+        "--duration", type=_POSITIVE, metavar="SECONDS",
+        help="wall-clock cap; requests not issued by then count as "
+             "skipped",
+    )
+    _budget_flag(p)
+    _event_log_flag(p)
+    p.add_argument(
         "--slo", action="store_true",
-        help="loadbench: replay the run through the SLO burn-rate "
-             "engine and exit 3 when an objective is violated",
+        help="replay the run through the SLO burn-rate engine; exit 3 on "
+             "a violated objective",
     )
-    parser.add_argument(
-        "--slo-burn-threshold", type=float, default=14.4, metavar="X",
-        help="slo/loadbench: multi-window burn-rate alert threshold "
-             "(default 14.4, the SRE fast-page value)",
-    )
-    parser.add_argument(
-        "--slo-step", type=float, default=6.0, metavar="SECONDS",
-        help="slo/loadbench: virtual seconds per completed request "
-             "(default 6; 50 requests = one fast window)",
-    )
-    args = parser.parse_args(argv)
-    if args.command == "profile":
-        return _run_profile(parser, args)
-    return _dispatch(parser, args)
+    _slo_flags(p)
+    _gate_flags(p, "LOADBENCH_history.jsonl")
+    _json_flag(p)
 
 
-def _dispatch(parser: argparse.ArgumentParser, args) -> int:
-    """Post-parse command dispatch.
+def _serve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--host", default="127.0.0.1",
+        help="bind address (default 127.0.0.1)",
+    )
+    p.add_argument(
+        "--port", type=int, default=0,
+        help="TCP port (default 0: pick a free one)",
+    )
+    p.add_argument(
+        "--port-file", metavar="PATH",
+        help="write the bound port to PATH once listening",
+    )
+    p.add_argument(
+        "--profile", action="append", type=_device_profile,
+        metavar="NAME[:k=v,...]",
+        help="add a device profile, e.g. storm:tr_fault_rate=0.4; keys "
+             "are DeviceProfile fields; repeatable; default:trd=3 "
+             "reconfigures the default profile",
+    )
+    p.add_argument(
+        "--workers", type=_AT_LEAST_1, default=2, metavar="N",
+        help="worker threads, one system each, per profile (default 2)",
+    )
+    _seed_flag(p, "retry backoff jitter seed")
+    p.add_argument(
+        "--queue-capacity", type=_AT_LEAST_1, default=16, metavar="N",
+        help="per-kernel queue slots batch traffic may fill (default 16)",
+    )
+    p.add_argument(
+        "--high-reserve", type=_AT_LEAST_0, default=4, metavar="N",
+        help="extra slots only interactive requests may use (default 4)",
+    )
+    p.add_argument(
+        "--retry-attempts", type=_AT_LEAST_1, default=3, metavar="N",
+        help="tries per work item, 1 = no retry (default 3)",
+    )
+    p.add_argument(
+        "--breaker-open-seconds", type=_POSITIVE, default=5.0,
+        metavar="SECONDS",
+        help="cooldown before an open breaker half-opens (default 5)",
+    )
+    _budget_flag(p)
+    _event_log_flag(p)
+    p.add_argument(
+        "--enable-profiling", action="store_true",
+        help="allow POST /debug/profile/start|stop (403 otherwise)",
+    )
 
-    Factored out of :func:`main` so the ``profile`` command can re-enter
-    it with the wrapped command's flags after installing the profiler.
+
+def _slo_command_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--history", metavar="PATH", default="LOADBENCH_history.jsonl",
+        help="loadbench history to evaluate (default "
+             "LOADBENCH_history.jsonl)",
+    )
+    p.add_argument(
+        "--format", choices=("md", "json"),
+        help="report format (default md, or json with --json)",
+    )
+    _json_flag(p)
+    _slo_flags(p)
+
+
+def _profile_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--profile-out", metavar="PATH", default="profile.speedscope.json",
+        help="speedscope JSON path (default profile.speedscope.json)",
+    )
+    p.add_argument(
+        "--folded-out", metavar="PATH",
+        help="also write collapsed-stack (flamegraph) text to PATH",
+    )
+    p.add_argument(
+        "--profile-record", metavar="PATH",
+        help="append the coruscant-profile/1 JSONL record to PATH",
+    )
+    p.add_argument(
+        "--profile-interval-ms", type=_POSITIVE, default=5.0, metavar="MS",
+        help="wall sampling interval in milliseconds (default 5)",
+    )
+    p.add_argument(
+        "--virtual-clock", action="store_true",
+        help="fold the simulated span tree and cycle counters instead of "
+             "sampling wall time (bit-identical across runs)",
+    )
+
+
+# name -> (help, flags, handler) for every command ``profile`` can wrap.
+_COMMANDS = {
+    "table1": ("Table I: area overhead", _experiment_flags, _run_experiment),
+    "table3": ("Table III: operations", _experiment_flags, _run_experiment),
+    "table4": ("Table IV: CNN FPS", _experiment_flags, _run_experiment),
+    "table5": ("Table V: reliability", _experiment_flags, _run_experiment),
+    "table6": ("Table VI: CNN FPS with NMR", _experiment_flags,
+               _run_experiment),
+    "fig10": ("Fig. 10: Polybench latency", _experiment_flags,
+              _run_experiment),
+    "fig11": ("Fig. 11: Polybench energy", _experiment_flags,
+              _run_experiment),
+    "fig12": ("Fig. 12: bitmap queries", _experiment_flags, _run_experiment),
+    "report": ("reproduction-fidelity scoreboard", _report_flags,
+               _run_report_command),
+    "all": ("every table and figure, and the text report", _json_flag,
+            _run_all),
+    "add": ("one PIM addition with its cycle cost", _add_flags, _run_add),
+    "mult": ("one PIM multiplication with its cycle cost", _mult_flags,
+             _run_mult),
+    "campaign": ("fault campaign, recovery on vs off", _campaign_flags,
+                 _run_campaign_command),
+    "mc": ("Monte Carlo fault-injection trials", _mc_flags,
+           _run_mc_command),
+    "chaos": ("seeded service-stack chaos campaign", _chaos_flags,
+              _run_chaos),
+    "trace": ("Chrome-trace one kernel", _trace_flags, _run_trace),
+    "bench": ("bench kernels and regression gate", _bench_flags,
+              _run_bench),
+    "loadbench": ("closed-loop load bench of the in-process gateway",
+                  _loadbench_flags, _run_loadbench),
+    "serve": ("the resilient kernel gateway", _serve_flags, _run_serve),
+    "slo": ("SLO burn-rate report over the loadbench history",
+            _slo_command_flags, _run_slo),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subparser per command, owning its flags.
+
+    Abbreviated flags are off, so a flag that only another command
+    reads is a usage error, never a prefix of one of this command's.
     """
-    writer = OutputWriter(json_mode=args.json)
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="CORUSCANT processing-in-racetrack-memory simulator",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(
+        dest="command", metavar="command", required=True
+    )
+    for name, (help_text, add_flags, run) in _COMMANDS.items():
+        sub = commands.add_parser(
+            name, help=help_text, description=help_text, allow_abbrev=False
+        )
+        add_flags(sub)
+        sub.set_defaults(run=run)
+    profile = commands.add_parser(
+        "profile",
+        help="run another command under the sampling profiler",
+        description="Run a command under the sampling profiler. The "
+                    "profiler's flags follow the command's own; "
+                    "'repro profile <command> --help' lists both.",
+        allow_abbrev=False,
+    )
+    # The wrapped command's name lands in args.command, as if unwrapped.
+    wrapped = profile.add_subparsers(
+        dest="command", metavar="command", required=True
+    )
+    for name, (help_text, add_flags, run) in _COMMANDS.items():
+        sub = wrapped.add_parser(
+            name, help=help_text, description=help_text, allow_abbrev=False
+        )
+        add_flags(sub)
+        _profile_flags(sub)
+        sub.set_defaults(run=_run_profile, profiled=run)
+    return parser
 
-    if args.command == "slo":
-        return _run_slo(parser, args)
-    if args.command == "chaos":
-        return _run_chaos(parser, args)
-    if args.command == "serve":
-        if args.queue_capacity < 1:
-            parser.error("--queue-capacity must be >= 1")
-        if args.high_reserve < 0:
-            parser.error("--high-reserve must be >= 0")
-        if args.retry_attempts < 1:
-            parser.error("--retry-attempts must be >= 1")
-        if args.breaker_open_seconds <= 0:
-            parser.error("--breaker-open-seconds must be > 0")
-        if args.default_budget_s <= 0:
-            parser.error("--default-budget-s must be > 0")
-        if args.workers is not None and args.workers < 1:
-            parser.error("--workers must be >= 1 for serve")
-        return _run_serve(parser, args)
-    if args.command == "report":
-        return _run_report_command(args)
-    if args.command == "bench":
-        if args.repeats < 1:
-            parser.error("--repeats must be >= 1")
-        if args.wall_tolerance < 0:
-            parser.error("--wall-tolerance must be >= 0")
-        code = _run_bench(writer, args)
-        writer.close(code)
-        return code
-    if args.command == "loadbench":
-        if args.requests < 1:
-            parser.error("--requests must be >= 1")
-        if args.concurrency < 1:
-            parser.error("--concurrency must be >= 1")
-        if args.duration is not None and args.duration <= 0:
-            parser.error("--duration must be > 0")
-        if args.wall_tolerance < 0:
-            parser.error("--wall-tolerance must be >= 0")
-        if args.default_budget_s <= 0:
-            parser.error("--default-budget-s must be > 0")
-        if args.profile is not None and len(args.profile) != 1:
-            parser.error("loadbench takes exactly one --profile")
-        if args.slo_burn_threshold <= 0:
-            parser.error("--slo-burn-threshold must be > 0")
-        if args.slo_step <= 0:
-            parser.error("--slo-step must be > 0")
-        code = _run_loadbench(writer, args)
-        writer.close(code)
-        return code
-    if args.command == "trace":
-        code = _run_trace(writer, args)
-        writer.close(code)
-        return code
-    if args.command == "mc":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        if not 0.0 < args.fault_rate <= 1.0:
-            parser.error("--fault-rate must be in (0, 1] for mc")
-        if args.inject_worker_crash:
-            parser.error("--inject-worker-crash applies to campaign only")
-        _validate_shard_flags(parser, args)
-        hub, event_log = _shard_telemetry(args, sharded=True)
-        try:
-            code = _run_mc(writer, args, telemetry=hub)
-        finally:
-            if event_log is not None:
-                event_log.close()
-        if hub is not None and args.metrics_json:
-            _dump_metrics(hub, args.metrics_json)
-        writer.close(code)
-        return code
-    if args.command == "campaign":
-        if args.ops < 1:
-            parser.error("--ops must be >= 1")
-        for name in (
-            "fault_rate",
-            "shift_fault_rate",
-            "calm_fault_rate",
-            "calm_shift_fault_rate",
-        ):
-            if not 0.0 <= getattr(args, name) <= 1.0:
-                flag = "--" + name.replace("_", "-")
-                parser.error(f"{flag} must be a probability in [0, 1]")
-        if args.adaptive and not args.resilience:
-            parser.error("--adaptive requires the resilient layer "
-                         "(drop --no-resilience)")
-        if args.scrub_interval is not None and args.scrub_interval < 1:
-            parser.error("--scrub-interval must be >= 1")
-        if args.checkpoint_every < 1:
-            parser.error("--checkpoint-every must be >= 1")
-        if args.stop_after is not None and args.stop_after < 0:
-            parser.error("--stop-after must be >= 0")
-        if args.storage_rows < 0:
-            parser.error("--storage-rows must be >= 0")
-        _validate_shard_flags(parser, args)
-        sharded = args.shards is not None or bool(args.journal)
-        hub, event_log = _shard_telemetry(args, sharded=sharded)
-        try:
-            if sharded:
-                if args.checkpoint:
-                    parser.error(
-                        "sharded campaigns journal per shard; use "
-                        "--journal DIR instead of --checkpoint"
-                    )
-                if args.stop_after is not None:
-                    parser.error(
-                        "--stop-after is the single-process crash "
-                        "stand-in; sharded runs are interrupted per "
-                        "worker instead"
-                    )
-                args.shards = args.shards or 1
-                code = _run_sharded_campaign(writer, args, telemetry=hub)
-            else:
-                code = _run_campaign(writer, args, telemetry=hub)
-        finally:
-            if event_log is not None:
-                event_log.close()
-        if hub is not None and args.metrics_json:
-            _dump_metrics(hub, args.metrics_json)
-        writer.close(code)
-        return code
-    if args.command == "all":
-        for run in _EXPERIMENTS.values():
-            run(writer)
-        writer.close()
-        return 0
-    if args.command == "add":
-        if len(args.operands) < 2:
-            parser.error("add needs at least two operands")
-        _run_add(writer, _int_operands(parser, args, "add"), args.trd)
-        writer.close()
-        return 0
-    if args.command == "mult":
-        if len(args.operands) != 2:
-            parser.error("mult needs exactly two operands")
-        values = _int_operands(parser, args, "mult")
-        _run_mult(writer, values[0], values[1], args.trd)
-        writer.close()
-        return 0
-    if args.metrics_json:
-        # Experiment commands build DBCs internally; the process-wide
-        # active hub catches their device-level stats.
-        from repro.telemetry import TelemetryHub, runtime
 
-        hub = TelemetryHub()
-        with runtime.activated(hub):
-            _EXPERIMENTS[args.command](writer)
-        _dump_metrics(hub, args.metrics_json)
-    else:
-        _EXPERIMENTS[args.command](writer)
-    writer.close()
-    return 0
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -125,6 +125,16 @@ class Nanowire:
         """
         return self._commanded_offset
 
+    @commanded_offset.setter
+    def commanded_offset(self, offset: int) -> None:
+        """Reset the controller's belief without moving any domain.
+
+        A lockstep cluster uses this when one of its tracks aborts a
+        shift: the shifts the other tracks already made then read as
+        misalignment, which :meth:`realign` undoes.
+        """
+        self._commanded_offset = offset
+
     @property
     def misalignment(self) -> int:
         """Physical minus commanded offset; nonzero after a shift fault."""

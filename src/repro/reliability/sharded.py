@@ -59,6 +59,7 @@ from repro.reliability.campaign import (
     shard_bounds,
 )
 from repro.resilience import checkpoint as ckpt
+from repro.utils.durable import atomic_write
 
 CAMPAIGN_SCHEMA = "coruscant-campaign/2"
 MC_SCHEMA = "coruscant-mc-campaign/1"
@@ -577,12 +578,7 @@ def report_bytes(report: Dict[str, Any]) -> bytes:
 
 def write_report(report: Dict[str, Any], path: str) -> None:
     """Atomically write the canonical report next to the journals."""
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(report_bytes(report))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    atomic_write(path, report_bytes(report))
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,9 @@ operand-stream and fault-injector RNG states, fault counters, the DBC
 track state (domain bits + physical/commanded offsets), cycle/energy
 stats, health records, and the adaptive-ladder state.
 
-Writes go to a temp file in the same directory followed by
-``os.replace``, so a crash mid-write leaves the previous checkpoint
-intact; a reader sees either the old journal or the new one, never a
-torn file.
+Writes go through :func:`repro.utils.durable.atomic_write`, so a crash
+mid-write leaves the previous checkpoint intact; a reader sees either
+the old journal or the new one, never a torn file.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Any, Dict, List, Tuple
 from repro.arch.dbc import DomainBlockCluster, SenseVoteStats
 from repro.device.stats import DeviceStats
 from repro.resilience.health import DBCHealth, DBCHealthRegistry
+from repro.utils.durable import atomic_write, discard_torn_temp
 
 # v2 adds the campaign config hash and shard identity to the journal
 # header; v1 journals (pre-sharding) are still readable.
@@ -139,19 +139,14 @@ def restore_health_state(
 def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     """Atomically persist ``payload`` (plus a format header) to ``path``.
 
-    The write lands in a sibling temp file first and is renamed over the
-    target, so an interruption at any instant leaves either the previous
-    checkpoint or the new one — never a torn journal.
+    An interruption at any instant leaves either the previous checkpoint
+    or the new one — never a torn journal.
     """
     document = {"format": FORMAT_VERSION, **payload}
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = path + ".tmp"
-    os.makedirs(directory, exist_ok=True)
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    atomic_write(
+        path, json.dumps(document, separators=(",", ":")).encode("utf-8")
+    )
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
@@ -167,23 +162,6 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
             f"expected one of {_READABLE_VERSIONS}"
         )
     return document
-
-
-def discard_torn_temp(path: str) -> bool:
-    """Remove a stale ``<path>.tmp`` left behind by an interrupted write.
-
-    :func:`save_checkpoint` renames its temp file over the journal, so a
-    crash mid-write can only leave a *truncated temp file* beside an
-    intact journal. The temp file's contents can never be trusted (the
-    rename never happened); callers drop it before resuming. Returns
-    True when a leftover temp file was removed.
-    """
-    tmp_path = path + ".tmp"
-    try:
-        os.remove(tmp_path)
-    except FileNotFoundError:
-        return False
-    return True
 
 
 def config_hash(fingerprint: Dict[str, Any]) -> str:

@@ -13,7 +13,7 @@ Torn-write discipline follows checkpoint v2
 a crash mid-write corrupts at most the last record; recovery skips
 unparseable lines (counting them in ``torn_records``) rather than
 failing; :meth:`RequestJournal.compact` rewrites the live state through
-a temp file + ``fsync`` + ``os.replace`` so the swap is atomic and a
+:func:`repro.utils.durable.atomic_write` so the swap is atomic and a
 crash mid-compaction leaves the old journal intact.
 
 Disk trouble never reaches the request path: an ``OSError`` on append
@@ -32,6 +32,7 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro.chaos import hooks
+from repro.utils.durable import atomic_write
 
 JOURNAL_SCHEMA = "coruscant-journal/1"
 
@@ -214,37 +215,28 @@ class RequestJournal:
         """Atomically rewrite the journal to its live state.
 
         Keeps every ack (the idempotency history) and only un-acked
-        intents. Uses the checkpoint v2 swap: temp file, ``fsync``,
-        ``os.replace`` — a crash at any point leaves a valid journal.
+        intents. The swap is atomic, so a crash at any point leaves a
+        valid journal.
         """
-        tmp_path = f"{self.path}.tmp"
         with self._lock:
             records: List[Dict[str, Any]] = [
-                dict(self._intents[key])
+                self._intents[key]
                 for key in self._intent_order
                 if key not in self._acks
             ]
-            records.extend(
-                dict(record) for record in self._acks.values()
-            )
+            records.extend(self._acks.values())
+            data = "".join(
+                json.dumps(record, sort_keys=True) + "\n"
+                for record in records
+            ).encode("utf-8")
             try:
-                with open(tmp_path, "w", encoding="utf-8") as handle:
-                    for record in records:
-                        handle.write(json.dumps(record, sort_keys=True) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
                 if not self._fh.closed:
                     self._fh.close()
-                os.replace(tmp_path, self.path)
+                atomic_write(self.path, data)
             except OSError:
                 self.write_errors += 1
             finally:
                 self._fh = open(self.path, "a", encoding="utf-8")
-                if os.path.exists(tmp_path):
-                    try:
-                        os.remove(tmp_path)
-                    except OSError:
-                        pass
 
     def close(self) -> None:
         with self._lock:

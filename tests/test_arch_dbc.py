@@ -3,6 +3,8 @@
 import pytest
 
 from repro.arch.dbc import DomainBlockCluster, pim_port_positions
+from repro.device.faults import FaultInjector
+from repro.device.nanowire import DataLossError
 from repro.device.parameters import DeviceParameters
 
 
@@ -96,6 +98,36 @@ class TestLockstepOps:
         # Row 20 now aligned where row 14 was; align back and check.
         dbc.shift(-1, 6)
         assert dbc.peek_row(20) == [1, 0, 1, 0]
+
+
+class _OverShift(FaultInjector):
+    """Every shift of the wire it drives moves two positions."""
+
+    def perturb_shift(self, amount):
+        return 2 * amount
+
+
+class TestAbortedShift:
+    def test_tracks_keep_the_cluster_offset_and_realign(self):
+        # Track 2 over-shifts, so it reaches a guard edge first and
+        # aborts each lockstep shift after tracks 0 and 1 have moved.
+        dbc = make_dbc(tracks=4)
+        for row in range(dbc.domains):
+            dbc.poke_row(row, [(row >> t) & 1 for t in range(4)])
+        expected = [dbc.peek_row(row) for row in range(dbc.domains)]
+        dbc.wires[2].injector = _OverShift()
+        for direction in (1, -1, 1, -1):
+            with pytest.raises(DataLossError):
+                for _ in range(dbc.wires[0].length):
+                    dbc.shift(direction)
+            assert [w.commanded_offset for w in dbc.wires] == [
+                dbc.commanded_offset
+            ] * dbc.tracks
+            dbc.realign()
+            assert dbc.misaligned_tracks == []
+            assert [
+                dbc.peek_row(row) for row in range(dbc.domains)
+            ] == expected
 
 
 class TestTransverseOps:

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestExperiments:
@@ -99,6 +106,22 @@ class TestCampaignCommand:
             ["campaign", "--ops", "4", "--fault-rate", "0.45",
              "--seed", "0", "--no-resilience"]
         ) == 0
+
+    def test_aborted_storage_shifts_are_counted_not_fatal(self, capsys):
+        # Shift faults walk the storage DBC into its guard edge; each
+        # aborted access is a storage loss, never an uncaught traceback.
+        code = main(
+            ["campaign", "--ops", "700", "--fault-rate", "1e-3",
+             "--shift-fault-rate", "1e-3", "--storage-rows", "16",
+             "--seed", "3", "--json"]
+        )
+        document = json.loads(capsys.readouterr().out)
+        assert document["exit_status"] == code
+        assert code == 0 or document["uncorrectable_exit"]
+        for leg in ("recovery_on", "recovery_off"):
+            summary = document[f"Fault campaign ({leg})"]
+            assert summary["completed"]
+            assert summary["storage_wrong"] > 0
 
     def test_checkpoint_resume_flow(self, tmp_path, capsys):
         path = str(tmp_path / "journal.json")
@@ -575,3 +598,88 @@ class TestTraceCommand:
     def test_trace_rejects_unknown_kernel(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["trace", "bogus", "--out", str(tmp_path / "t.json")])
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Bad names.
+            ["trace", "bogus"],
+            ["mc", "divisions"],
+            ["loadbench", "--profile", "bogus"],
+            # Flags only another command reads.
+            ["add", "1", "2", "--shards", "4"],
+            ["serve", "--trd", "3"],
+            ["table1", "--port", "80"],
+            # A prefix of one of the command's own flags is no match.
+            ["chaos", "--duration", "5"],
+        ],
+    )
+    def test_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_add_imports_no_service_or_obs(self):
+        code = (
+            "import sys; from repro.cli import main; main(['add', '1', '2']);"
+            "print([m for m in sys.modules"
+            " if m.startswith(('repro.service', 'repro.obs'))])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_SHELL_OPERATORS = set("|&;<>()")
+
+
+def _documented_invocations():
+    """``python -m repro`` command lines in CI, the README and the API
+    docs, as argv lists. The synopses are skipped: ``{table1,...}``, and
+    ``<command>``, which the shell would read as a redirection."""
+    found = []
+    for name in (".github/workflows/ci.yml", "README.md", "docs/API.md"):
+        with open(os.path.join(REPO, name), encoding="utf-8") as fh:
+            text = fh.read().replace("\\\n", " ")
+        for inline, line in re.findall(
+            r"`(python -m repro\b[^`]*)`|(python -m repro\b[^\n`]*)", text
+        ):
+            lexer = shlex.shlex(
+                inline or line, posix=True, punctuation_chars=True
+            )
+            lexer.whitespace_split = True
+            words = []
+            for word in lexer:
+                if set(word) <= _SHELL_OPERATORS:
+                    break
+                words.append(word)
+            argv = words[3:]
+            if argv and not argv[0].startswith("{"):
+                found.append(pytest.param(argv, id=f"{name}:{len(found)}"))
+    return found
+
+
+class TestDocumentedInvocations:
+    INVOCATIONS = _documented_invocations()
+
+    def test_every_source_has_invocations(self):
+        sources = {p.id.split(":")[0] for p in self.INVOCATIONS}
+        assert sources == {".github/workflows/ci.yml", "README.md",
+                           "docs/API.md"}
+
+    @pytest.mark.parametrize("argv", INVOCATIONS)
+    def test_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        if argv[0] == "profile":
+            # The wrapped command parsed with its flags and profile's.
+            assert args.command == argv[1]
+            assert args.run is not args.profiled
+        else:
+            assert args.command == argv[0]
