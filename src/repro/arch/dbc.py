@@ -6,23 +6,41 @@ across all X tracks. PIM-enabled DBCs have two access ports per track
 spaced TRD-1 domains apart so a transverse read spans exactly TRD domains
 (Section III-A).
 
+The cluster holds every track in one ``uint8`` array of shape
+(tracks x length), stored column-major so that one physical domain
+position across all tracks -- what a lockstep operation touches -- is
+contiguous. Beside it sit a per-track physical shift offset and the one
+offset the controller commanded. Track ``t`` behaves exactly like a
+:class:`~repro.device.nanowire.Nanowire` with the same ports and
+overhead, the single-wire reference model: a lockstep shift moves, in
+one slice, every track that moved the same distance; a TR of every track
+is a windowed sum along the domain axis; a TW is a slice assignment; a
+read or write touches one column; a snapshot copies bytes.
+
+Faults are drawn from the shared :class:`FaultInjector` in the reference
+model's order: one shift perturbation per track per step, track by
+track, and one TR perturbation per track per sensed read. While the
+injector cannot perturb (zero rate, ``perturb_*`` not overridden) no draw
+is made and every operation works on whole rows.
+
 Cost accounting happens at the cluster level: a lockstep operation across
-all X tracks costs one operation's latency but X tracks' energy. The
-per-track :class:`~repro.device.nanowire.Nanowire` objects therefore run
-with recording suppressed and the DBC's own :class:`DeviceStats` is the
-source of truth.
+all X tracks costs one operation's latency but X tracks' energy, recorded
+in the cluster's own :class:`DeviceStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.device.faults import FaultInjector
-from repro.device.nanowire import AccessPort, DataLossError, Nanowire
+from repro.device.nanowire import DataLossError, default_overhead
 from repro.device.parameters import DeviceParameters
 from repro.device.stats import DeviceStats
 from repro.telemetry.spans import NULL_TRACER
+from repro.utils.bitops import as_bit_row
 
 
 @dataclass
@@ -46,10 +64,60 @@ class SenseVoteStats:
 
 @dataclass(frozen=True)
 class DBCSnapshot:
-    """Zero-cost checkpoint of a whole cluster (transaction logging)."""
+    """Zero-cost checkpoint of a whole cluster (transaction logging).
 
-    wires: Tuple[Tuple[List[int], int, int], ...]
+    ``domains`` holds every track's physical domains position by
+    position: domain ``p`` of track ``t`` is byte ``p * tracks + t``.
+    ``offsets`` holds each track's physical shift offset.
+    """
+
+    domains: bytes
+    offsets: Tuple[int, ...]
     commanded_offset: int
+
+    @classmethod
+    def from_tracks(
+        cls, tracks: Sequence[Sequence], commanded_offset: int
+    ) -> "DBCSnapshot":
+        """A snapshot from per-track ``(domains, offset, commanded)`` states.
+
+        The inverse of :meth:`track_states`. Every track must hold the
+        same number of 0/1 domains and believe the cluster's commanded
+        offset; anything else raises ValueError.
+        """
+        if not tracks:
+            raise ValueError("a snapshot needs at least one track")
+        length = len(tracks[0][0])
+        for index, (domains, _offset, commanded) in enumerate(tracks):
+            if len(domains) != length:
+                raise ValueError(
+                    f"track {index} holds {len(domains)} domains, track 0 "
+                    f"holds {length}"
+                )
+            if commanded != commanded_offset:
+                raise ValueError(
+                    f"track {index} believes offset {commanded}, the "
+                    f"cluster {commanded_offset}"
+                )
+        columns = np.array([as_bit_row(list(t[0])) for t in tracks]).T
+        return cls(
+            domains=columns.tobytes(),
+            offsets=tuple(int(t[1]) for t in tracks),
+            commanded_offset=int(commanded_offset),
+        )
+
+    def track_states(self) -> List[List]:
+        """Per-track ``[domains, offset, commanded_offset]`` lists.
+
+        The layout of :meth:`Nanowire.checkpoint`, which the campaign
+        journal stores per track.
+        """
+        tracks = len(self.offsets)
+        rows = np.frombuffer(self.domains, dtype=np.uint8).reshape(-1, tracks)
+        return [
+            [domains, offset, self.commanded_offset]
+            for domains, offset in zip(rows.T.tolist(), self.offsets)
+        ]
 
 
 def pim_port_positions(domains: int, trd: int) -> Tuple[int, int]:
@@ -93,23 +161,40 @@ class DomainBlockCluster:
                 port_positions = pim_port_positions(domains, self.params.trd)
             else:
                 port_positions = (domains // 2,)  # single central port
-        ports = [AccessPort(p) for p in port_positions]
+        if domains < 1:
+            raise ValueError(f"domains must be >= 1, got {domains}")
+        if not port_positions:
+            raise ValueError("a track needs at least one access port")
+        for position in port_positions:
+            if not 0 <= position < domains:
+                raise ValueError(
+                    f"port at data position {position} outside data "
+                    f"region [0, {domains})"
+                )
         self.port_positions: Tuple[int, ...] = tuple(port_positions)
-        self.wires: List[Nanowire] = [
-            Nanowire(
-                domains,
-                ports,
-                params=self.params,
-                injector=self.injector,
-                overhead=overhead,
-            )
-            for _ in range(tracks)
-        ]
+        ports = sorted(self.port_positions)
+        if overhead is None:
+            overhead = default_overhead(domains, ports)
+        left, right = overhead
+        if left < 0 or right < 0:
+            raise ValueError("overhead domain counts must be >= 0")
+        self.overhead: Tuple[int, int] = (left, right)
+        self.length = left + domains + right
+        # Physical domain under port ``i``, the i-th from the left as on a
+        # Nanowire (ports never move).
+        self._columns = tuple(left + p for p in ports)
+        self._window: Optional[Tuple[int, int]] = None
+        if len(ports) >= 2:
+            self._window = self._columns[:2]
+        self._domains = np.zeros((tracks, self.length), dtype=np.uint8, order="F")
+        self._offsets: List[int] = [0] * tracks
+        # The offset every track shares, or None once a fault split them.
+        self._common: Optional[int] = 0
+        self._commanded_offset = 0
         self.stats = DeviceStats()
         # Telemetry attachment point: core units open phase spans on the
         # cluster they compute in. NULL_TRACER makes every span a no-op.
         self.tracer = NULL_TRACER
-        self._commanded_offset = 0
         # Re-read voting in the sense path: 1 disables, an odd n > 1
         # repeats every TR n times and majority-votes per track.
         self.tr_vote_reads = 1
@@ -121,13 +206,9 @@ class DomainBlockCluster:
     @property
     def window(self) -> Tuple[int, int]:
         """Inclusive physical window [left, right] a TR spans (PIM DBCs)."""
-        if len(self.port_positions) < 2:
+        if self._window is None:
             raise ValueError("window is only defined for two-port (PIM) DBCs")
-        wire = self.wires[0]
-        return (
-            wire.port_physical_position(0),
-            wire.port_physical_position(1),
-        )
+        return self._window
 
     @property
     def window_size(self) -> int:
@@ -142,8 +223,7 @@ class DomainBlockCluster:
         row may differ; :meth:`position_error_check` exposes the gap.
         """
         lo, _ = self.window
-        wire = self.wires[0]
-        row = lo + slot - wire.overhead_left - self._commanded_offset
+        row = lo + slot - self.overhead[0] - self._commanded_offset
         return row if 0 <= row < self.domains else None
 
     @property
@@ -152,42 +232,38 @@ class DomainBlockCluster:
         return self._commanded_offset
 
     @property
+    def offsets(self) -> List[int]:
+        """Each track's physical shift offset."""
+        return list(self._offsets)
+
+    @property
     def misaligned_tracks(self) -> List[int]:
         """Tracks whose physical offset disagrees with the commanded one."""
-        return [
-            i
-            for i, wire in enumerate(self.wires)
-            if wire.offset != self._commanded_offset
-        ]
+        commanded = self._commanded_offset
+        if self._common == commanded:
+            return []
+        return [t for t, offset in enumerate(self._offsets) if offset != commanded]
 
     # ------------------------------------------------------------------
     # zero-cost state accessors
 
     def poke_row(self, row: int, bits: Sequence[int]) -> None:
         """Set data row ``row`` across all tracks (no cost recorded)."""
-        self._check_row_width(bits)
-        for wire, bit in zip(self.wires, bits):
-            wire.poke_row(row, bit)
+        values = self._bits(bits)
+        self._domains[self._row_index(row)] = values
 
     def peek_row(self, row: int) -> List[int]:
         """Read data row ``row`` across all tracks (no cost recorded)."""
-        return [wire.peek_row(row) for wire in self.wires]
+        return self._domains[self._row_index(row)].tolist()
 
     def poke_window_slot(self, slot: int, bits: Sequence[int]) -> None:
         """Set the domains at window slot ``slot`` (no cost recorded)."""
-        self._check_row_width(bits)
-        lo, hi = self.window
-        if not lo <= lo + slot <= hi:
-            raise ValueError(f"slot {slot} outside window of {self.window_size}")
-        for wire, bit in zip(self.wires, bits):
-            wire.poke_physical(lo + slot, bit)
+        values = self._bits(bits)
+        self._domains[:, self._slot_column(slot)] = values
 
     def peek_window_slot(self, slot: int) -> List[int]:
         """Read the domains at window slot ``slot`` (no cost recorded)."""
-        lo, hi = self.window
-        if not lo <= lo + slot <= hi:
-            raise ValueError(f"slot {slot} outside window of {self.window_size}")
-        return [wire.peek_physical(lo + slot) for wire in self.wires]
+        return self._domains[:, self._slot_column(slot)].tolist()
 
     # ------------------------------------------------------------------
     # lockstep device operations (cost-recorded at cluster level)
@@ -196,18 +272,27 @@ class DomainBlockCluster:
         """Shift all tracks in lockstep.
 
         If a track ejects data the whole command aborts and the cluster
-        keeps its commanded offset. Every track's commanded offset is
-        put back to it, so no track's belief drifts from the cluster's
-        and :meth:`realign` can return the tracks that already moved.
+        keeps its commanded offset: the tracks that already moved read
+        as misaligned, and :meth:`realign` returns them.
         """
-        try:
-            for wire in self.wires:
-                wire.shift(direction, count, record=False)
-        except DataLossError:
-            for wire in self.wires:
-                wire.commanded_offset = self._commanded_offset
-            raise
-        self._commanded_offset += direction * count
+        if direction not in (1, -1):
+            raise ValueError(f"direction must be +1 or -1, got {direction}")
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        left, right = self.overhead
+        common = self._common
+        distance = direction * count
+        if (
+            common is not None
+            and self._shift_perturbation() is None
+            and -left <= common + distance <= right
+        ):
+            self._slide(slice(None), distance)
+            self._common = common + distance
+            self._offsets = [self._common] * self.tracks
+        else:
+            self._shift_tracks(direction, count)
+        self._commanded_offset += distance
         p = self.params.shift
         self.stats.record(
             "shift", p.cycles * count, p.energy_pj * self.tracks * count
@@ -221,9 +306,8 @@ class DomainBlockCluster:
         check runs, so a prior shift fault leaves that track reading the
         wrong row.
         """
-        wire = self.wires[0]
-        target = wire.port_physical_position(port_index)
-        believed = wire.overhead_left + row + self._commanded_offset
+        target = self._columns[port_index]
+        believed = self.overhead[0] + row + self._commanded_offset
         delta = target - believed
         if delta:
             self.shift(1 if delta > 0 else -1, abs(delta))
@@ -231,41 +315,17 @@ class DomainBlockCluster:
 
     def read_row(self, port_index: int = 0) -> List[int]:
         """Orthogonal read of the aligned row on every track (one cycle)."""
-        bits = [wire.read(port_index, record=False) for wire in self.wires]
+        bits = self._domains[:, self._columns[port_index]].tolist()
         p = self.params.read
         self.stats.record("read", p.cycles, p.energy_pj * self.tracks)
         return bits
 
     def write_row(self, bits: Sequence[int], port_index: int = 0) -> None:
         """Write a full row through the given port on every track."""
-        self._check_row_width(bits)
-        for wire, bit in zip(self.wires, bits):
-            wire.write(port_index, bit, record=False)
+        values = self._bits(bits)
+        self._domains[:, self._columns[port_index]] = values
         p = self.params.write
         self.stats.record("write", p.cycles, p.energy_pj * self.tracks)
-
-    def _sense(self, wire: Nanowire) -> int:
-        """One sense-path read of a wire's TR level, voting if enabled.
-
-        With ``tr_vote_reads`` = n > 1 the TR is repeated n times and the
-        per-track majority wins — the 2-of-3 (or k-of-n) re-read scheme
-        that detects single TR level faults in the sense path. Vote
-        outcomes land in :attr:`vote_stats`; callers account the n-times
-        cycle/energy cost at the batch level.
-        """
-        n = self.tr_vote_reads
-        if n <= 1:
-            return wire.transverse_read(0, 1, record=False)
-        reads = [wire.transverse_read(0, 1, record=False) for _ in range(n)]
-        self.vote_stats.votes += 1
-        winner = max(set(reads), key=reads.count)
-        if len(set(reads)) > 1:
-            self.vote_stats.disagreements += 1
-            if reads.count(winner) > n // 2:
-                self.vote_stats.corrected += 1
-            else:
-                self.vote_stats.unresolved += 1
-        return winner
 
     def _record_tr(self, senses: int) -> None:
         """Account one TR batch of ``senses`` track reads (voted or not)."""
@@ -284,13 +344,13 @@ class DomainBlockCluster:
         the count of '1's in its TRD-domain window, feeding the seven-level
         sense amp of Fig. 4(a).
         """
-        levels = [self._sense(wire) for wire in self.wires]
+        levels = self._sense(self._window_levels(slice(None)))
         self._record_tr(self.tracks)
         return levels
 
     def transverse_read_track(self, track: int) -> int:
         """TR a single track (the sequential addition walk of Fig. 6)."""
-        level = self._sense(self.wires[track])
+        (level,) = self._sense(self._window_levels([track]))
         self._record_tr(1)
         return level
 
@@ -301,20 +361,25 @@ class DomainBlockCluster:
         independent blocks advance in lockstep, so the per-step TRs of
         different blocks share one cycle while each consumes TR energy.
         """
-        levels = [self._sense(self.wires[t]) for t in tracks]
+        levels = self._sense(self._window_levels(list(tracks)))
         self._record_tr(len(levels))
         return levels
 
     def transverse_write_row(self, bits: Sequence[int]) -> List[int]:
         """TW a full row: write under the left head, segment-shift right.
 
-        Returns the row ejected under the right head (Fig. 9).
+        Domains strictly between the heads advance one position toward
+        the right head on every track. Returns the row ejected under the
+        right head (Fig. 9).
         """
-        self._check_row_width(bits)
-        ejected = [
-            wire.transverse_write(bit, 0, 1, record=False)
-            for wire, bit in zip(self.wires, bits)
-        ]
+        values = self._bits(bits)
+        lo, hi = self.window
+        if lo >= hi:
+            raise ValueError("transverse write requires left port left of right")
+        domains = self._domains
+        ejected = domains[:, hi].tolist()
+        domains[:, lo + 1 : hi + 1] = domains[:, lo:hi]
+        domains[:, lo] = values
         p = self.params.transverse_write
         self.stats.record("transverse_write", p.cycles, p.energy_pj * self.tracks)
         return ejected
@@ -326,7 +391,9 @@ class DomainBlockCluster:
         addition step land in the same cycle as the sum write), so this
         records energy only.
         """
-        self.wires[track].write(port_index, bit, record=False)
+        if bit not in (0, 1):
+            raise ValueError(f"expected bit 0 or 1, got {bit!r}")
+        self._domains[track, self._columns[port_index]] = bit
         self.stats.record("write_bit", 0, self.params.write.energy_pj)
 
     def tick(self, cycles: int = 1, label: str = "tick") -> None:
@@ -358,51 +425,236 @@ class DomainBlockCluster:
         Tracks are corrected independently (per-track shift enables are
         already required by the TW path), so the latency is the worst
         single-track correction while every corrected track pays shift
-        energy. Returns that worst-case shift count (0 if aligned).
+        energy. The recovery shifts draw no faults. Returns that
+        worst-case shift count (0 if aligned).
         """
-        worst = 0
-        moved = 0
-        for wire in self.wires:
-            correction = abs(wire.misalignment)
-            if correction:
-                worst = max(worst, correction)
-                moved += correction
-                wire.realign(record=False)
-        if worst:
-            p = self.params.shift
-            self.stats.record(
-                "realign", p.cycles * worst, p.energy_pj * moved
-            )
+        commanded = self._commanded_offset
+        if self._common == commanded:
+            return 0
+        left, right = self.overhead
+        reachable = max(-left, min(right, commanded))
+        moved = [reachable - offset for offset in self._offsets]
+        if reachable != commanded:
+            # No track can reach an offset past a guard edge; track 0 is
+            # the first to push a data domain off on the way.
+            self._move_tracks(moved[:1])
+            raise DataLossError(_loss_message(commanded - reachable))
+        self._move_tracks(moved)
+        worst = max(abs(distance) for distance in moved)
+        p = self.params.shift
+        self.stats.record(
+            "realign",
+            p.cycles * worst,
+            p.energy_pj * sum(abs(distance) for distance in moved),
+        )
         return worst
 
     def snapshot(self) -> DBCSnapshot:
         """Zero-cost checkpoint of all track state (transaction begin)."""
         return DBCSnapshot(
-            wires=tuple(wire.checkpoint() for wire in self.wires),
+            domains=self._domains.tobytes(order="F"),
+            offsets=tuple(self._offsets),
             commanded_offset=self._commanded_offset,
         )
 
     def restore(self, state: DBCSnapshot) -> None:
         """Zero-cost rollback to a :meth:`snapshot` (transaction abort)."""
-        if len(state.wires) != self.tracks:
+        if len(state.offsets) != self.tracks:
             raise ValueError(
-                f"snapshot holds {len(state.wires)} tracks, cluster has "
+                f"snapshot holds {len(state.offsets)} tracks, cluster has "
                 f"{self.tracks}"
             )
-        for wire, saved in zip(self.wires, state.wires):
-            wire.restore(saved)
+        if len(state.domains) != self.tracks * self.length:
+            raise ValueError(
+                f"snapshot holds {len(state.domains) // self.tracks} domains "
+                f"per track, cluster tracks have {self.length}"
+            )
+        left, right = self.overhead
+        if not -left <= min(state.offsets) <= max(state.offsets) <= right:
+            raise ValueError(
+                f"snapshot offsets leave [{-left}, {right}], where every "
+                "data domain stays on its track"
+            )
+        columns = np.frombuffer(state.domains, dtype=np.uint8)
+        self._domains[...] = columns.reshape(self.length, self.tracks).T
+        self._offsets = list(state.offsets)
+        self._regroup()
         self._commanded_offset = state.commanded_offset
 
     # ------------------------------------------------------------------
+    # internals
 
-    def _check_row_width(self, bits: Sequence[int]) -> None:
+    def _slot_column(self, slot: int) -> int:
+        lo, hi = self.window
+        if not lo <= lo + slot <= hi:
+            raise ValueError(f"slot {slot} outside window of {self.window_size}")
+        return lo + slot
+
+    def _row_index(self, row: int):
+        """Index of data row ``row`` on every track.
+
+        One column while the tracks share an offset; one (track, column)
+        pair per track after a shift fault split them.
+        """
+        if not 0 <= row < self.domains:
+            raise ValueError(f"row {row} outside [0, {self.domains})")
+        base = self.overhead[0] + row
+        if self._common is not None:
+            return slice(None), base + self._common
+        return np.arange(self.tracks), base + np.array(self._offsets)
+
+    def _bits(self, bits: Sequence[int]) -> np.ndarray:
+        """``bits`` as one uint8 row, checked whole before any track changes."""
         if len(bits) != self.tracks:
             raise ValueError(
                 f"row must have {self.tracks} bits, got {len(bits)}"
             )
+        return as_bit_row(bits)
+
+    def _window_levels(self, tracks: Union[slice, List[int]]) -> List[int]:
+        """Count of '1's in the TR window of each given track (no faults)."""
+        lo, hi = self.window
+        if hi - lo + 1 > self.params.trd:
+            raise ValueError(
+                f"TR window of {hi - lo + 1} domains exceeds "
+                f"TRD={self.params.trd}"
+            )
+        domains = self._domains
+        if isinstance(tracks, list) and len(tracks) <= _FEW_TRACKS:
+            # A handful of requested tracks (one per block of an addition
+            # walk): numpy's fixed cost per call outweighs short sums.
+            return [sum(domains[t, lo : hi + 1].tolist()) for t in tracks]
+        window = domains[tracks, lo : hi + 1]
+        return window.sum(axis=-1).tolist()
+
+    def _sense(self, levels: List[int]) -> List[int]:
+        """Sense-path reads of the tracks' TR levels, voting if enabled.
+
+        With ``tr_vote_reads`` = n > 1 each track's TR is repeated n times
+        and its majority wins — the 2-of-3 (or k-of-n) re-read scheme
+        that detects single TR level faults in the sense path. Tracks
+        draw their faults in turn, all n reads of a track before the
+        next. Vote outcomes land in :attr:`vote_stats`; callers account
+        the n-times cycle/energy cost at the batch level.
+        """
+        n = self.tr_vote_reads
+        perturb = self._tr_perturbation()
+        if perturb is None:
+            if n > 1:
+                self.vote_stats.votes += len(levels)
+            return levels
+        size = self.window_size
+        if n <= 1:
+            return [perturb(level, size) for level in levels]
+        sensed = []
+        stats = self.vote_stats
+        for level in levels:
+            reads = [perturb(level, size) for _ in range(n)]
+            stats.votes += 1
+            winner = max(set(reads), key=reads.count)
+            if len(set(reads)) > 1:
+                stats.disagreements += 1
+                if reads.count(winner) > n // 2:
+                    stats.corrected += 1
+                else:
+                    stats.unresolved += 1
+            sensed.append(winner)
+        return sensed
+
+    def _shift_perturbation(self) -> Optional[Callable[[int], int]]:
+        """The injector's shift draw, or None while it cannot perturb."""
+        injector = self.injector
+        if (
+            injector.config.shift_fault_rate == 0.0
+            and type(injector).perturb_shift is FaultInjector.perturb_shift
+        ):
+            return None
+        return injector.perturb_shift
+
+    def _tr_perturbation(self) -> Optional[Callable[[int, int], int]]:
+        """The injector's TR-level draw, or None while it cannot perturb."""
+        injector = self.injector
+        if (
+            injector.config.tr_fault_rate == 0.0
+            and type(injector).perturb_tr_level is FaultInjector.perturb_tr_level
+        ):
+            return None
+        return injector.perturb_tr_level
+
+    def _shift_tracks(self, direction: int, count: int) -> None:
+        """Shift track by track, as independent wires driven in turn would.
+
+        Each track draws one perturbation per step. The first track that
+        would push a data domain off its wire stops at the guard edge and
+        aborts the command: the tracks before it have moved, the tracks
+        after it have not (and drew nothing).
+        """
+        perturb = self._shift_perturbation()
+        left, right = self.overhead
+        moved: List[int] = []
+        for offset in self._offsets:
+            position = offset
+            if perturb is None:
+                position += direction * count
+            else:
+                for _ in range(count):
+                    amount = perturb(direction)
+                    position += amount
+                    if not -left <= position <= right:
+                        break
+            reached = max(-left, min(right, position))
+            moved.append(reached - offset)
+            if reached != position:
+                self._move_tracks(moved)
+                raise DataLossError(_loss_message(position - reached))
+        self._move_tracks(moved)
+
+    def _move_tracks(self, moved: List[int]) -> None:
+        """Move track ``t`` by ``moved[t]`` positions; later tracks stay.
+
+        Tracks that moved the same distance move in one slice.
+        """
+        groups: Dict[int, List[int]] = {}
+        for track, distance in enumerate(moved):
+            if distance:
+                groups.setdefault(distance, []).append(track)
+        for distance, tracks in groups.items():
+            rows = slice(None) if len(tracks) == self.tracks else tracks
+            self._slide(rows, distance)
+            for track in tracks:
+                self._offsets[track] += distance
+        self._regroup()
+
+    def _slide(self, rows: Union[slice, List[int]], distance: int) -> None:
+        """Move the domains of tracks ``rows`` ``distance`` positions.
+
+        Domains pushed past an end are dropped and zeros fill in, as on a
+        wire shifted one position at a time.
+        """
+        domains = self._domains
+        if distance > 0:
+            domains[rows, distance:] = domains[rows, :-distance]
+            domains[rows, :distance] = 0
+        elif distance < 0:
+            domains[rows, :distance] = domains[rows, -distance:]
+            domains[rows, distance:] = 0
+
+    def _regroup(self) -> None:
+        """Recompute the offset all tracks share (None if they differ)."""
+        first = self._offsets[0]
+        self._common = first if self._offsets.count(first) == self.tracks else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DomainBlockCluster(tracks={self.tracks}, domains={self.domains}, "
             f"ports={self.port_positions}, pim={self.pim_enabled})"
         )
+
+
+# Up to this many requested tracks, TR windows are summed in Python.
+_FEW_TRACKS = 8
+
+
+def _loss_message(direction: int) -> str:
+    side = "right" if direction > 0 else "left"
+    return f"shift {side} would eject a data domain"

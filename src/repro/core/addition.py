@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.pim_logic import adder_outputs
-from repro.utils.bitops import bits_from_int, bits_to_int
+from repro.utils.bitops import bits_from_int, bits_to_int, word_row
 
 
 def max_addition_operands(trd: int) -> int:
@@ -116,11 +118,11 @@ class MultiOperandAdder:
         """
         k = self._check_operand_count(len(rows))
         width = self.dbc.tracks
-        zero = [0] * width
+        zero = np.zeros(width, dtype=np.uint8)
         for slot in range(self.trd):
             idx = slot - self.operand_base_slot
             if 0 <= idx < k:
-                row = list(rows[idx])
+                row = rows[idx]
                 if len(row) != width:
                     raise ValueError(
                         f"row {idx} has {len(row)} bits, expected {width}"
@@ -142,10 +144,7 @@ class MultiOperandAdder:
         with self.dbc.tracer.span(
             "add.stage", category="core", operands=k
         ) as span:
-            rows = []
-            for word in words:
-                bits = bits_from_int(word, n_bits)
-                rows.append(bits + [0] * (self.dbc.tracks - n_bits))
+            rows = [word_row(word, n_bits, self.dbc.tracks) for word in words]
             for i, row in enumerate(reversed(rows)):
                 self.dbc.write_row(row, port_index=0)
                 last = i == k - 1
@@ -200,14 +199,11 @@ class MultiOperandAdder:
                 self.dbc.tick(1, "carry_write")
             cycles = self.dbc.stats.cycles - before
             span.annotate(cycles=cycles)
+        sums = self.dbc.peek_window_slot(self._sum_slot())
         values = []
         for b in range(blocks):
             base = start_track + b * stride
-            bits = [
-                self.dbc.peek_window_slot(self._sum_slot())[base + i]
-                for i in range(result_bits)
-            ]
-            values.append(bits_to_int(bits))
+            values.append(bits_to_int(sums[base : base + result_bits]))
         return AdditionResult(values=values, cycles=cycles, staging_cycles=0)
 
     def add_words(
@@ -252,17 +248,13 @@ class MultiOperandAdder:
             raise AssertionError(
                 "super carry cannot occur when counts stay below 4"
             )
-        lo, _ = self.dbc.window
-        energy = self.dbc.params.write.energy_pj
-        self.dbc.wires[track].poke_physical(lo, s)
-        self.dbc.stats.record("write_bit", 0, energy)
+        # S lands under the left head, C under the right head (the carry
+        # slot) of the next track, C' under the left head two tracks up.
+        self.dbc.write_bit(track, 0, s)
         if track + 1 < block_end:
-            hi = lo + self.carry_slot
-            self.dbc.wires[track + 1].poke_physical(hi, c)
-            self.dbc.stats.record("write_bit", 0, energy)
+            self.dbc.write_bit(track + 1, 1, c)
         if self.uses_super_carry and track + 2 < block_end:
-            self.dbc.wires[track + 2].poke_physical(lo, c_prime)
-            self.dbc.stats.record("write_bit", 0, energy)
+            self.dbc.write_bit(track + 2, 0, c_prime)
 
     def _check_operand_count(self, k: int) -> int:
         if not 1 <= k <= self.max_operands:
@@ -284,6 +276,6 @@ class MultiOperandAdder:
     ) -> None:
         """Set window slot ``slot`` over the block, zero-filling past bits."""
         row = self.dbc.peek_window_slot(slot)
-        for i in range(width):
-            row[start + i] = bits[i] if i < len(bits) else 0
+        bits = list(bits[:width])
+        row[start : start + width] = bits + [0] * (width - len(bits))
         self.dbc.poke_window_slot(slot, row)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.pim_logic import BulkOp, PimLogicBlock
 
@@ -51,11 +53,10 @@ class BulkBitwiseUnit:
         per Fig. 7.
         """
         k = self._check_operands(operands)
-        pad = self._padding_bit(op)
-        pad_row = [pad] * self.dbc.tracks
+        pad_row = self._padding_row(op)
         for slot in range(self.dbc.window_size):
             if slot < k:
-                self.dbc.poke_window_slot(slot, list(operands[slot]))
+                self.dbc.poke_window_slot(slot, operands[slot])
             else:
                 self.dbc.poke_window_slot(slot, pad_row)
 
@@ -69,15 +70,14 @@ class BulkBitwiseUnit:
         """
         k = self._check_operands(operands)
         before = self.dbc.stats.cycles
-        pad = self._padding_bit(op)
-        pad_row = [pad] * self.dbc.tracks
+        pad_row = self._padding_row(op)
         for slot in range(self.dbc.window_size):
             if slot >= k:
                 self.dbc.poke_window_slot(slot, pad_row)  # preset, zero cost
         # Write the last operand first; each subsequent write pushes the
         # previous ones one slot deeper via a lockstep shift.
         for i, row in enumerate(reversed(list(operands))):
-            self.dbc.write_row(list(row), port_index=0)
+            self.dbc.write_row(row, port_index=0)
             if i != k - 1:
                 self.dbc.shift(1)
         # Shift so the operand block sits against the left head with the
@@ -101,7 +101,7 @@ class BulkBitwiseUnit:
         """
         before = self.dbc.stats.cycles
         levels = self.dbc.transverse_read_all()
-        bits = [self.logic.evaluate(op, level, operands) for level in levels]
+        bits = self.logic.evaluate_row(op, levels, operands)
         self.dbc.stats.record("pim_logic", 0, _PIM_LOGIC_PJ * self.dbc.tracks)
         if writeback_slot is not None:
             self.dbc.poke_window_slot(writeback_slot, bits)
@@ -110,7 +110,9 @@ class BulkBitwiseUnit:
                 "writeback_energy", 0, self.dbc.params.write.energy_pj * self.dbc.tracks
             )
         return BulkResult(
-            bits=bits, levels=levels, cycles=self.dbc.stats.cycles - before
+            bits=bits.tolist(),
+            levels=levels,
+            cycles=self.dbc.stats.cycles - before,
         )
 
     # ------------------------------------------------------------------
@@ -128,9 +130,10 @@ class BulkBitwiseUnit:
                 )
         return k
 
-    @staticmethod
-    def _padding_bit(op: BulkOp) -> int:
-        return 1 if op in (BulkOp.AND, BulkOp.NAND) else 0
+    def _padding_row(self, op: BulkOp) -> np.ndarray:
+        """The Fig. 7 preset: '1's for AND/NAND, '0's for the rest."""
+        pad = 1 if op in (BulkOp.AND, BulkOp.NAND) else 0
+        return np.full(self.dbc.tracks, pad, dtype=np.uint8)
 
 
 # Synthesized PIM-block energy per bitline per evaluation (45 nm FreePDK45

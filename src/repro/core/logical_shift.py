@@ -17,7 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.arch.dbc import DomainBlockCluster
+from repro.utils.bitops import as_bit_row
 
 
 @dataclass(frozen=True)
@@ -25,11 +28,11 @@ class ShiftedCopies:
     """Outcome of materialising shifted copies of a row.
 
     Attributes:
-        rows: the copies, one per logical shift amount.
+        rows: the copies as ``uint8`` rows, one per logical shift amount.
         cycles: DBC cycles consumed.
     """
 
-    rows: List[List[int]]
+    rows: List[np.ndarray]
     cycles: int
 
 
@@ -41,7 +44,7 @@ class LogicalShifter:
             raise ValueError("logical shifting requires a PIM-enabled DBC")
         self.dbc = dbc
 
-    def shift_row(self, row: Sequence[int], by: int = 1) -> List[int]:
+    def shift_row(self, row: Sequence[int], by: int = 1) -> np.ndarray:
         """One logical shift step: bits move ``by`` tracks toward the MSB.
 
         Each single-position step costs a shifted read plus a write
@@ -49,13 +52,14 @@ class LogicalShifter:
         """
         if by < 0:
             raise ValueError(f"by must be >= 0, got {by}")
-        out = list(row)
+        out = as_bit_row(row).copy()
         for _ in range(by):
-            if out and out[-1]:
+            if out.size and out[-1]:
                 raise OverflowError(
                     "logical shift pushed a one past the top track"
                 )
-            out = [0] + out[:-1]
+            out[1:] = out[:-1]
+            out[:1] = 0
             self.dbc.tick(2, "logical_shift")
             self.dbc.stats.record(
                 "logical_shift_energy",
@@ -92,12 +96,11 @@ class LogicalShifter:
         # Copy the source operand into the working row of the
         # processing tile (the RowClone-style staging of Section III-D3).
         self.dbc.tick(2, "stage_in")
-        rows: List[List[int]] = []
-        current = list(row)
-        width = len(current)
+        rows: List[np.ndarray] = []
+        current = as_bit_row(row)
         for i in range(count):
             keep = (not predicate) or bool(predicate[i])
-            rows.append(list(current) if keep else [0] * width)
+            rows.append(current.copy() if keep else np.zeros_like(current))
             self.dbc.tick(1, "dw_shift")  # move to the next row slot
             if i != count - 1:
                 current = self.shift_row(current, 1)

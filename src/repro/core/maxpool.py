@@ -17,10 +17,12 @@ appears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.arch.dbc import DomainBlockCluster
-from repro.utils.bitops import bits_from_int, bits_to_int
+from repro.utils.bitops import bits_to_int, word_row
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,15 @@ class MaxUnit:
             raise ValueError(
                 f"n_bits {n_bits} exceeds DBC tracks {self.dbc.tracks}"
             )
-        pad = [0] * (self.dbc.tracks - n_bits)
         for slot in range(self.trd):
             word = words[slot] if slot < len(words) else 0
             if word < 0 or word >> n_bits:
                 raise ValueError(
                     f"word {word} does not fit in {n_bits} unsigned bits"
                 )
-            self.dbc.poke_window_slot(slot, bits_from_int(word, n_bits) + pad)
+            self.dbc.poke_window_slot(
+                slot, word_row(word, n_bits, self.dbc.tracks)
+            )
 
     def run(
         self,
@@ -86,7 +89,7 @@ class MaxUnit:
         """
         if not use_transverse_write:
             needed = self.trd * n_bits
-            room = self.dbc.wires[0].overhead_right - self.dbc.wires[0].offset
+            room = self.dbc.overhead[1] - self.dbc.offsets[0]
             if room < needed:
                 raise ValueError(
                     f"the pre-TW variant migrates the word block "
@@ -123,11 +126,12 @@ class MaxUnit:
         level and the tested bit (Section IV-B) — so the cycle cost never
         depends on the data.
         """
+        reset = np.zeros(self.dbc.tracks, dtype=np.uint8)
         if use_tw:
             for _ in range(self.trd):
                 row = self.dbc.read_row(port_index=1)
                 if level > 0 and row[bit] == 0:
-                    row = [0] * self.dbc.tracks  # predicated buffer reset
+                    row = reset  # predicated buffer reset
                 self.dbc.transverse_write_row(row)
         else:
             # Pre-TW variant: whole-nanowire shifts. Each round the word
@@ -141,6 +145,6 @@ class MaxUnit:
             for _ in range(self.trd):
                 row = self.dbc.read_row(port_index=1)
                 if level > 0 and row[bit] == 0:
-                    row = [0] * self.dbc.tracks
+                    row = reset
                 self.dbc.shift(1)
                 self.dbc.write_row(row, port_index=0)

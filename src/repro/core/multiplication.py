@@ -27,7 +27,7 @@ from repro.core.addition import MultiOperandAdder
 from repro.core.booth import ConstantPlan, plan_constant_multiply
 from repro.core.logical_shift import LogicalShifter
 from repro.core.reduction import CarrySaveReducer
-from repro.utils.bitops import bits_from_int
+from repro.utils.bitops import bits_to_int, word_row
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class Multiplier:
         if len(rows) == 0:
             return MultiplyResult(0, self.dbc.stats.cycles - before, breakdown)
         if len(rows) == 1:
-            value = self._row_value(rows[0])
+            value = bits_to_int(rows[0])
             return MultiplyResult(
                 value & ((1 << width) - 1),
                 self.dbc.stats.cycles - before,
@@ -138,7 +138,7 @@ class Multiplier:
             if len(group) == 1:
                 acc = group[0]
                 break
-            rows = [bits_from_int(g, width) + self._pad(width) for g in group]
+            rows = [self._row(g, width) for g in group]
             self.adder.stage_rows(rows)
             acc = self.adder.run(len(rows), width).value
         breakdown["additions"] = self.dbc.stats.cycles - add_before
@@ -173,7 +173,7 @@ class Multiplier:
         breakdown = {"addition_steps": 0}
         result = 0
         for step in plan.steps:
-            rows: List[List[int]] = []
+            rows = []
             ones_due = 0
             for term in step.terms:
                 v = (values[term.source] << term.shift) & mask
@@ -183,7 +183,7 @@ class Multiplier:
                     v = (~v) & mask
                     ones_due += 1
                     self.dbc.tick(2, "complement")
-                rows.append(bits_from_int(v, width) + self._pad(width))
+                rows.append(self._row(v, width))
             result = self._add_with_carry_ones(rows, ones_due, width)
             values[step.name] = result
             breakdown["addition_steps"] += 1
@@ -213,7 +213,7 @@ class Multiplier:
             group = [a & mask] * take
             if not first:
                 group.insert(0, acc)
-            rows = [bits_from_int(g, width) + self._pad(width) for g in group]
+            rows = [self._row(g, width) for g in group]
             if len(rows) == 1:
                 acc = group[0]
             else:
@@ -240,7 +240,7 @@ class Multiplier:
         predicate that zeroes de-selected copies.
         """
         before = self.dbc.stats.cycles
-        base = bits_from_int(a, width) + self._pad(width)
+        base = self._row(a, width)
         predicate = [(b >> i) & 1 for i in range(n_bits)]
         copies = self.shifter.shifted_copies(base, n_bits, predicate)
         return copies.rows, self.dbc.stats.cycles - before
@@ -248,12 +248,12 @@ class Multiplier:
     def _final_add(self, rows: Sequence[Sequence[int]], width: int) -> int:
         """One multi-operand addition of the surviving rows."""
         if len(rows) == 1:
-            return self._row_value(rows[0]) & ((1 << width) - 1)
+            return bits_to_int(rows[0]) & ((1 << width) - 1)
         self.adder.stage_rows(rows)
         return self.adder.run(len(rows), width).value
 
     def _add_with_carry_ones(
-        self, rows: List[List[int]], ones_due: int, width: int
+        self, rows: List[Sequence[int]], ones_due: int, width: int
     ) -> int:
         """Add rows plus ``ones_due`` unit corrections from negated terms.
 
@@ -265,15 +265,13 @@ class Multiplier:
         extra = 0
         if ones_due > 1:
             if len(rows) < budget:
-                rows = rows + [
-                    bits_from_int(ones_due - 1, width) + self._pad(width)
-                ]
+                rows = rows + [self._row(ones_due - 1, width)]
                 ones_due = 1
             else:
                 extra = ones_due - 1
                 ones_due = 1
         if len(rows) == 1:
-            acc = self._row_value(rows[0]) + ones_due
+            acc = bits_to_int(rows[0]) + ones_due
         else:
             self.adder.stage_rows(rows)
             if ones_due:
@@ -284,22 +282,16 @@ class Multiplier:
             acc = self.adder.run(len(rows), width).value
         if extra:
             rows2 = [
-                bits_from_int(acc & ((1 << width) - 1), width)
-                + self._pad(width),
-                bits_from_int(extra, width) + self._pad(width),
+                self._row(acc & ((1 << width) - 1), width),
+                self._row(extra, width),
             ]
             self.adder.stage_rows(rows2)
             acc = self.adder.run(2, width).value
         return acc & ((1 << width) - 1)
 
-    def _row_value(self, row: Sequence[int]) -> int:
-        value = 0
-        for i, bit in enumerate(row):
-            value |= bit << i
-        return value
-
-    def _pad(self, width: int) -> List[int]:
-        return [0] * (self.dbc.tracks - width)
+    def _row(self, value: int, width: int):
+        """``value`` transposed onto the first ``width`` tracks of a row."""
+        return word_row(value, width, self.dbc.tracks)
 
     def _width(self, n_bits: int, result_bits: Optional[int]) -> int:
         width = result_bits if result_bits is not None else 2 * n_bits

@@ -10,7 +10,12 @@ the 7->3 carry-save reduction rest on.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
+
+from repro.utils.bitops import as_level_row
 
 
 class BulkOp(enum.Enum):
@@ -75,6 +80,22 @@ class PimLogicBlock:
             )
         return self._truth(op, data_ones, operands)
 
+    def evaluate_row(
+        self, op: BulkOp, levels: Sequence[int], operands: int
+    ) -> np.ndarray:
+        """:meth:`evaluate` for every track's TR level at once.
+
+        Each level is looked up in the (op, operand-count) table as a
+        ``uint8`` row; the first level the padding cannot produce raises
+        as :meth:`evaluate` does.
+        """
+        table = _level_table(self.trd, op, operands)
+        index = as_level_row(levels)
+        bits = table[index]
+        if bits.max(initial=0) > 1:
+            self.evaluate(op, int(index[np.argmax(bits > 1)]), operands)
+        return bits
+
     def _padding_ones(self, op: BulkOp, operands: int) -> int:
         """Ones contributed by the Fig. 7 padding preset."""
         if op in (BulkOp.AND, BulkOp.NAND):
@@ -110,3 +131,19 @@ class PimLogicBlock:
             ones + padding: self._truth(op, ones, operands)
             for ones in range(operands + 1)
         }
+
+
+@lru_cache(maxsize=None)
+def _level_table(trd: int, op: BulkOp, operands: int) -> np.ndarray:
+    """``op``'s output for every uint8 TR level over ``operands`` rows.
+
+    2 marks a level the Fig. 7 padding of the window cannot produce.
+    """
+    if not 1 <= operands <= trd:
+        raise ValueError(f"operands {operands} outside [1, {trd}]")
+    block = PimLogicBlock(trd)
+    table = np.full(256, 2, dtype=np.uint8)
+    for level, bit in block.truth_table(op, operands).items():
+        table[level] = bit
+    table.flags.writeable = False
+    return table

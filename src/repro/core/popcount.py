@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.addition import MultiOperandAdder
-from repro.utils.bitops import bits_from_int
+from repro.utils.bitops import word_row
 
 
 @dataclass(frozen=True)
@@ -50,32 +52,34 @@ class PopcountUnit:
         that one TR of track g senses the whole group. Group counts are
         then summed via staged multi-operand additions.
         """
-        bits = [int(b) for b in bits]
-        for i, bit in enumerate(bits):
-            if bit not in (0, 1):
-                raise ValueError(f"bit {i} is {bit!r}")
+        row = np.array(bits)
+        if row.dtype.kind not in "biu":
+            row = np.array([int(b) for b in bits], dtype=object)
+        bad = (row != 0) & (row != 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"bit {i} is {int(row[i])!r}")
         before = self.dbc.stats.cycles
-        groups = [
-            bits[i : i + self.trd] for i in range(0, len(bits), self.trd)
-        ]
+        tracks = self.dbc.tracks
+        n_groups = -(-len(row) // self.trd)
+        # Group g holds bits [g * TRD, (g + 1) * TRD), zero-padded.
+        groups = np.zeros((n_groups, self.trd), dtype=np.uint8)
+        groups.reshape(-1)[: len(row)] = row
         counts: List[int] = []
         # Sense groups in batches of `tracks` parallel TRs.
-        for start in range(0, len(groups), self.dbc.tracks):
-            batch = groups[start : start + self.dbc.tracks]
+        for start in range(0, n_groups, tracks):
+            batch = groups[start : start + tracks]
+            slot_row = np.zeros(tracks, dtype=np.uint8)
             for slot in range(self.trd):
-                row = [
-                    group[slot] if slot < len(group) else 0
-                    for group in batch
-                ]
-                row += [0] * (self.dbc.tracks - len(row))
-                self.dbc.poke_window_slot(slot, row)
+                slot_row[: len(batch)] = batch[:, slot]
+                self.dbc.poke_window_slot(slot, slot_row)
             levels = self.dbc.transverse_read_all()
             counts.extend(levels[: len(batch)])
         total = self._sum_counts(counts)
         return PopcountResult(
             count=total,
             cycles=self.dbc.stats.cycles - before,
-            groups=len(groups),
+            groups=n_groups,
         )
 
     def _sum_counts(self, counts: List[int]) -> int:
@@ -99,11 +103,7 @@ class PopcountUnit:
             if len(group) == 1:
                 acc = group[0]
             else:
-                rows = [
-                    bits_from_int(g, width)
-                    + [0] * (self.dbc.tracks - width)
-                    for g in group
-                ]
+                rows = [word_row(g, width, self.dbc.tracks) for g in group]
                 self.adder.stage_rows(rows)
                 acc = self.adder.run(len(rows), width).value
             first = False

@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.addition import max_addition_operands
-from repro.utils.bitops import bits_to_int
+from repro.utils.bitops import as_level_row, bits_to_int
 
 
 @dataclass(frozen=True)
@@ -28,12 +30,13 @@ class ReductionResult:
     """Outcome of one or more reduction rounds.
 
     Attributes:
-        rows: surviving operand rows (track-bit vectors, weight 1 each).
+        rows: surviving operand rows (track-bit vectors, weight 1 each;
+            the rows a round produced are ``uint8`` arrays).
         cycles: DBC cycles consumed.
         rounds: how many TR reduction rounds ran.
     """
 
-    rows: List[List[int]]
+    rows: List[Sequence[int]]
     cycles: int
     rounds: int
 
@@ -60,10 +63,10 @@ class CarrySaveReducer:
         if not 2 <= k <= self.trd:
             raise ValueError(f"row count {k} outside [2, {self.trd}]")
         width = self.dbc.tracks
-        zero = [0] * width
+        zero = np.zeros(width, dtype=np.uint8)
         for slot in range(self.trd):
             if slot < k:
-                row = list(rows[slot])
+                row = rows[slot]
                 if len(row) != width:
                     raise ValueError(
                         f"row {slot} has {len(row)} bits, expected {width}"
@@ -71,14 +74,12 @@ class CarrySaveReducer:
                 self.dbc.poke_window_slot(slot, row)
             else:
                 self.dbc.poke_window_slot(slot, zero)
-        levels = self.dbc.transverse_read_all()
-        s_row = [lvl & 1 for lvl in levels]
-        c_row = self._displace([(lvl >> 1) & 1 for lvl in levels], 1)
+        levels = as_level_row(self.dbc.transverse_read_all())
+        s_row = levels & 1
+        c_row = self._displace((levels >> 1) & 1, 1)
         out_rows = [s_row, c_row]
         if self.outputs_per_round == 3:
-            out_rows.append(
-                self._displace([(lvl >> 2) & 1 for lvl in levels], 2)
-            )
+            out_rows.append(self._displace((levels >> 2) & 1, 2))
         # One write cycle per output row; S lands locally, C and C' go
         # through the i+1 / i+2 mux connections of Fig. 4(a).
         write_energy = self.dbc.params.write.energy_pj * self.dbc.tracks
@@ -103,7 +104,7 @@ class CarrySaveReducer:
                 "one round produces; reduction cannot converge"
             )
         before = self.dbc.stats.cycles
-        pending = [list(r) for r in rows]
+        pending = list(rows)
         rounds = 0
         while len(pending) > target:
             take = min(self.trd, len(pending))
@@ -120,17 +121,18 @@ class CarrySaveReducer:
             rounds=rounds,
         )
 
-    def _displace(self, bits: List[int], by: int) -> List[int]:
+    def _displace(self, bits: np.ndarray, by: int) -> np.ndarray:
         """Shift a row ``by`` tracks toward the MSB (multiply by 2**by)."""
-        dropped = bits[len(bits) - by :]
-        if any(dropped):
+        if bits[len(bits) - by :].any():
             raise OverflowError(
                 f"carry of weight 2**{by} fell off the top track; widen "
                 "the operand region"
             )
-        return [0] * by + bits[: len(bits) - by]
+        out = np.zeros_like(bits)
+        out[by:] = bits[: len(bits) - by]
+        return out
 
     @staticmethod
     def rows_sum(rows: Sequence[Sequence[int]]) -> int:
         """Arithmetic value of a set of weight-1 rows (testing helper)."""
-        return sum(bits_to_int(list(r)) for r in rows)
+        return sum(bits_to_int(r) for r in rows)

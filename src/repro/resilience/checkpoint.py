@@ -21,7 +21,7 @@ import json
 import os
 from typing import Any, Dict, List, Tuple
 
-from repro.arch.dbc import DomainBlockCluster, SenseVoteStats
+from repro.arch.dbc import DBCSnapshot, DomainBlockCluster, SenseVoteStats
 from repro.device.stats import DeviceStats
 from repro.resilience.health import DBCHealth, DBCHealthRegistry
 from repro.utils.durable import atomic_write, discard_torn_temp
@@ -59,10 +59,14 @@ def rng_state_from_json(data: List) -> Tuple:
 # simulator state
 
 def dbc_state(dbc: DomainBlockCluster) -> Dict[str, Any]:
-    """Full track state of one cluster (domains + offsets) as JSON."""
+    """Full track state of one cluster (domains + offsets) as JSON.
+
+    Each track is journaled as ``[domains, offset, commanded_offset]``.
+    """
+    snapshot = dbc.snapshot()
     return {
-        "wires": [list(wire.checkpoint()) for wire in dbc.wires],
-        "commanded_offset": dbc.commanded_offset,
+        "wires": snapshot.track_states(),
+        "commanded_offset": snapshot.commanded_offset,
         "stats": device_stats_state(dbc.stats),
         "vote_stats": vote_stats_state(dbc.vote_stats),
     }
@@ -74,10 +78,7 @@ def restore_dbc_state(dbc: DomainBlockCluster, state: Dict[str, Any]) -> None:
         raise CheckpointMismatchError(
             f"checkpoint holds {len(wires)} tracks, cluster has {dbc.tracks}"
         )
-    for wire, saved in zip(dbc.wires, wires):
-        domains, offset, commanded = saved
-        wire.restore((list(domains), offset, commanded))
-    dbc._commanded_offset = state["commanded_offset"]
+    dbc.restore(DBCSnapshot.from_tracks(wires, state["commanded_offset"]))
     restore_device_stats(dbc.stats, state["stats"])
     dbc.vote_stats = SenseVoteStats(**state["vote_stats"])
 

@@ -1,13 +1,16 @@
 """Bit-level helpers used throughout the simulator.
 
-The device layer stores data as little-endian lists of 0/1 integers (bit 0
-first), mirroring the way operand bits are laid out along consecutive
-nanowires in a DBC (Section III-C of the paper).
+Operand bits are little-endian (bit 0 first), mirroring the way operand
+bits are laid out along consecutive nanowires in a DBC (Section III-C of
+the paper). A word is a list of 0/1 integers; a row spanning every track
+of a DBC is a ``uint8`` array with one element per track.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
+
+import numpy as np
 
 
 def bits_from_int(value: int, width: int) -> List[int]:
@@ -35,8 +38,63 @@ def bits_to_int(bits: Sequence[int]) -> int:
     for i, bit in enumerate(bits):
         if bit not in (0, 1):
             raise ValueError(f"bit {i} is {bit!r}, expected 0 or 1")
-        out |= bit << i
+        if bit:
+            out |= 1 << i
     return out
+
+
+def as_bit_row(bits: Sequence[int]) -> np.ndarray:
+    """``bits`` as a ``uint8`` row, every element checked to be 0 or 1.
+
+    A ``uint8`` array passes through uncopied (and may be read-only); a
+    list or tuple of ints converts through ``bytes``, several times
+    faster than ``np.asarray``. Raises ValueError naming the first
+    element that is not a bit.
+
+    >>> as_bit_row([1, 0, 1]).tolist()
+    [1, 0, 1]
+    """
+    raw = None
+    if isinstance(bits, np.ndarray):
+        if bits.dtype == np.uint8:
+            raw = bits.tobytes()
+    elif isinstance(bits, (list, tuple)):
+        try:
+            raw = bytes(bits)
+        except (TypeError, ValueError):
+            pass
+    # Deleting every 0 and 1 byte leaves nothing exactly when all are bits.
+    if raw is not None and not raw.translate(None, b"\x00\x01"):
+        if isinstance(bits, np.ndarray):
+            return bits
+        return np.frombuffer(raw, dtype=np.uint8)
+    for bit in bits:
+        if bit not in (0, 1):
+            raise ValueError(f"expected bit 0 or 1, got {bit!r}")
+    return np.array([int(bit) for bit in bits], dtype=np.uint8)
+
+
+def as_level_row(levels: Sequence[int]) -> np.ndarray:
+    """TR levels (ints in ``[0, 256)``) as a read-only ``uint8`` row.
+
+    >>> as_level_row([3, 0, 7]).tolist()
+    [3, 0, 7]
+    """
+    return np.frombuffer(bytes(levels), dtype=np.uint8)
+
+
+def word_row(value: int, width: int, tracks: int) -> np.ndarray:
+    """A ``tracks``-wide row holding ``value`` transposed on its first
+    ``width`` tracks (bit ``i`` on track ``i``) and zeros above.
+
+    >>> word_row(6, 4, 6).tolist()
+    [0, 1, 1, 0, 0, 0]
+    """
+    if width > tracks:
+        raise ValueError(f"width {width} exceeds the {tracks}-track row")
+    row = np.zeros(tracks, dtype=np.uint8)
+    row[:width] = bits_from_int(value, width)
+    return row
 
 
 def popcount(bits: Sequence[int]) -> int:

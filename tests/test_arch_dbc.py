@@ -100,34 +100,77 @@ class TestLockstepOps:
         assert dbc.peek_row(20) == [1, 0, 1, 0]
 
 
-class _OverShift(FaultInjector):
-    """Every shift of the wire it drives moves two positions."""
+class _OverShiftTrack(FaultInjector):
+    """Every shift step of one track of a lockstep cluster moves two.
+
+    The cluster draws one shift perturbation per track per step, track 0
+    first, so a draw's place in its round names the track. A round that
+    aborts stops at the track that raised: reset ``draws`` after one.
+    """
+
+    def __init__(self, track, tracks):
+        super().__init__()
+        self.track = track
+        self.tracks = tracks
+        self.draws = 0
 
     def perturb_shift(self, amount):
-        return 2 * amount
+        track = self.draws % self.tracks
+        self.draws += 1
+        return 2 * amount if track == self.track else amount
 
 
 class TestAbortedShift:
     def test_tracks_keep_the_cluster_offset_and_realign(self):
         # Track 2 over-shifts, so it reaches a guard edge first and
         # aborts each lockstep shift after tracks 0 and 1 have moved.
-        dbc = make_dbc(tracks=4)
+        injector = _OverShiftTrack(track=2, tracks=4)
+        dbc = make_dbc(tracks=4, injector=injector)
         for row in range(dbc.domains):
             dbc.poke_row(row, [(row >> t) & 1 for t in range(4)])
         expected = [dbc.peek_row(row) for row in range(dbc.domains)]
-        dbc.wires[2].injector = _OverShift()
         for direction in (1, -1, 1, -1):
+            injector.draws = 0
+            offset = dbc.commanded_offset
             with pytest.raises(DataLossError):
-                for _ in range(dbc.wires[0].length):
+                for _ in range(dbc.length):
                     dbc.shift(direction)
-            assert [w.commanded_offset for w in dbc.wires] == [
-                dbc.commanded_offset
-            ] * dbc.tracks
+            # The aborted shift kept the cluster's commanded offset, so
+            # the tracks that moved under it read as misaligned: 0 and 1
+            # by the aborted step, 2 by its over-shifts; 3 never moved.
+            assert dbc.offsets[3] == dbc.commanded_offset != offset
+            assert dbc.misaligned_tracks == [0, 1, 2]
             dbc.realign()
             assert dbc.misaligned_tracks == []
             assert [
                 dbc.peek_row(row) for row in range(dbc.domains)
             ] == expected
+
+
+class TestRejectedRows:
+    """A row with a non-bit anywhere is refused before any track changes."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda dbc, row: dbc.write_row(row),
+            lambda dbc, row: dbc.transverse_write_row(row),
+            lambda dbc, row: dbc.poke_row(5, row),
+            lambda dbc, row: dbc.poke_window_slot(2, row),
+        ],
+        ids=["write_row", "transverse_write_row", "poke_row", "poke_window_slot"],
+    )
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, "1"])
+    def test_state_unchanged(self, call, bad):
+        dbc = make_dbc(tracks=8)
+        for slot in range(dbc.window_size):
+            dbc.poke_window_slot(slot, [(slot + t) % 2 for t in range(8)])
+        before = dbc.snapshot()
+        stats = dbc.stats.as_dict()
+        with pytest.raises(ValueError):
+            call(dbc, [1, 1, 1, bad, 1, 1, 1, 1])
+        assert dbc.snapshot() == before
+        assert dbc.stats.as_dict() == stats
 
 
 class TestTransverseOps:
@@ -158,7 +201,8 @@ class TestTransverseOps:
 
     def test_overhead_override(self):
         dbc = make_dbc(tracks=2, overhead=(5, 100))
-        assert dbc.wires[0].overhead_right == 100
+        assert dbc.overhead == (5, 100)
+        assert dbc.length == 5 + 32 + 100
 
 
 class TestLongNanowires:

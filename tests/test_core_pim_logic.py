@@ -1,6 +1,7 @@
 """Unit tests for the PIM logic block (Fig. 4b)."""
 
 import itertools
+import re
 
 import pytest
 
@@ -81,3 +82,36 @@ class TestBulkTruth:
     def test_operand_count_validation(self):
         with pytest.raises(ValueError):
             PimLogicBlock(7).evaluate(BulkOp.OR, 0, 8)
+
+
+class TestEvaluateRow:
+    """The whole-row table lookup agrees with the per-level circuit."""
+
+    @pytest.mark.parametrize("trd", [3, 5, 7])
+    def test_matches_evaluate_on_every_level(self, trd):
+        block = PimLogicBlock(trd)
+        for op in BulkOp:
+            for k in range(1, trd + 1):
+                if op is BulkOp.NOT and k != 1:
+                    continue
+                for level in range(trd + 2):
+                    try:
+                        want = block.evaluate(op, level, k)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            block.evaluate_row(op, [level, level], k)
+                        continue
+                    got = block.evaluate_row(op, [level, level], k)
+                    assert got.tolist() == [want, want]
+
+    def test_first_bad_track_reported(self):
+        block = PimLogicBlock(7)
+        # AND of 2 rows pads 5 ones: levels 3 and 4 are unreachable.
+        with pytest.raises(ValueError, match="TR level 3"):
+            block.evaluate_row(BulkOp.AND, [5, 3, 4], 2)
+
+    def test_operand_count_validated(self):
+        with pytest.raises(ValueError):
+            PimLogicBlock(7).evaluate_row(BulkOp.OR, [0], 8)
+        with pytest.raises(ValueError, match="NOT takes exactly one"):
+            PimLogicBlock(7).evaluate_row(BulkOp.NOT, [0], 2)

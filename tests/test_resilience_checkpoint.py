@@ -284,3 +284,59 @@ class TestMonteCarloResume:
         )
         with pytest.raises(CheckpointMismatchError):
             self.campaign().run_multiplies(trials=10, checkpoint_path=path)
+
+
+class TestDBCState:
+    """A cluster's journaled per-track state, through JSON and back."""
+
+    @staticmethod
+    def make(seed):
+        from repro.arch.dbc import DomainBlockCluster
+        from repro.device.faults import FaultConfig, FaultInjector
+        from repro.device.parameters import DeviceParameters
+
+        dbc = DomainBlockCluster(
+            tracks=6,
+            domains=32,
+            params=DeviceParameters(trd=7),
+            injector=FaultInjector(
+                FaultConfig(shift_fault_rate=0.3, seed=seed)
+            ),
+        )
+        for row in range(dbc.domains):
+            dbc.poke_row(row, [(row >> t) & 1 for t in range(6)])
+        for _ in range(5):
+            dbc.shift(1)  # shift faults leave the tracks misaligned
+        return dbc
+
+    def journaled(self, dbc):
+        return json.loads(json.dumps(ckpt.dbc_state(dbc)))
+
+    def test_round_trip(self):
+        dbc = self.make(seed=0)
+        assert dbc.misaligned_tracks
+        state = self.journaled(dbc)
+        assert [len(track) for track in state["wires"]] == [3] * 6
+        other = self.make(seed=1)
+        ckpt.restore_dbc_state(other, state)
+        assert other.snapshot() == dbc.snapshot()
+        assert other.misaligned_tracks == dbc.misaligned_tracks
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda wires: wires[2][0].pop(),
+            lambda wires: wires[2][0].__setitem__(4, 2),
+            lambda wires: wires[2].__setitem__(1, 999),
+            lambda wires: wires[2].__setitem__(2, wires[2][2] + 1),
+        ],
+        ids=["short_track", "non_bit", "offset_off_wire", "commanded_split"],
+    )
+    def test_malformed_track_state_rejected(self, corrupt):
+        dbc = self.make(seed=0)
+        state = self.journaled(dbc)
+        corrupt(state["wires"])
+        before = dbc.snapshot()
+        with pytest.raises(ValueError):
+            ckpt.restore_dbc_state(dbc, state)
+        assert dbc.snapshot() == before
