@@ -261,7 +261,7 @@ class MemoryController:
         if self.telemetry is not None and dbc.stats.sink is None:
             # Lazily-materialised clusters join the telemetry stream the
             # first time the controller touches them.
-            dbc.stats.sink = self.telemetry
+            self.telemetry.watch(dbc.stats)
             dbc.tracer = self.telemetry.tracer
         return dbc
 

@@ -19,11 +19,17 @@ class DeviceStats:
     merging, so a report can attribute *where* the cycles and picojoules
     went, not just how many there were.
 
-    When a telemetry sink is attached (``sink``, set by
-    ``CoruscantSystem(telemetry=...)``) — or a hub is active process-wide
-    via :func:`repro.telemetry.activated` — every record is also
-    published into its metrics registry. With neither, the overhead is
-    two ``None`` checks.
+    Recording is pure accounting. A telemetry hub that watches these
+    stats reads them only when its metrics are read, folding in what
+    they recorded since its last read (:meth:`TelemetryHub.watch
+    <repro.telemetry.hub.TelemetryHub.watch>`). ``sink`` is the hub the
+    stats are attached to — ``CoruscantSystem(telemetry=...)`` attaches
+    every cluster it touches. Stats with no sink that record inside an
+    :func:`repro.telemetry.activated` scope join that scope's hub
+    (``scope``) on their first record and leave it when the scope
+    ends. With no hub at all, a record costs two ``None`` checks beyond
+    the sums. What :meth:`merge` adds to watched stats is folded in like
+    records.
     """
 
     op_counts: Dict[str, int] = field(default_factory=dict)
@@ -32,11 +38,20 @@ class DeviceStats:
     cycles: int = 0
     energy_pj: float = 0.0
     sink: Optional[Any] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
+    )
+    scope: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def record(self, op: str, cycles: int, energy_pj: float, count: int = 1) -> None:
         """Record ``count`` occurrences of ``op``."""
+        if (
+            self.sink is None
+            and _telemetry._ACTIVE is not None
+            and self.scope is None
+        ):
+            _telemetry.adopt(self)
         total_cycles = cycles * count
         total_energy = energy_pj * count
         self.op_counts[op] = self.op_counts.get(op, 0) + count
@@ -46,11 +61,6 @@ class DeviceStats:
         )
         self.cycles += total_cycles
         self.energy_pj += total_energy
-        sink = self.sink
-        if sink is None:
-            sink = _telemetry._ACTIVE
-        if sink is not None:
-            sink.device_op(op, total_cycles, total_energy, count)
 
     def merge(self, other: "DeviceStats") -> None:
         """Fold another stats object into this one (breakdowns included)."""
@@ -64,12 +74,22 @@ class DeviceStats:
         self.energy_pj += other.energy_pj
 
     def reset(self) -> None:
-        """Zero all counters."""
+        """Zero all counters.
+
+        A watching hub folds what was recorded since its last read
+        first, so its counters lose no record and never run backward.
+        """
+        sink = self.sink
+        hub = sink if sink is not None else self.scope
+        if hub is not None:
+            hub.release(self)
         self.op_counts.clear()
         self.op_cycles.clear()
         self.op_energy_pj.clear()
         self.cycles = 0
         self.energy_pj = 0.0
+        if sink is not None:
+            sink.watch(self)
 
     def count(self, op: str) -> int:
         """Occurrences of ``op`` recorded so far."""

@@ -50,8 +50,10 @@ class RequestJournal:
         self.path = path
         self._lock = threading.Lock()
         self._intents: Dict[str, Dict[str, Any]] = {}
-        self._intent_order: List[str] = []
         self._acks: Dict[str, Dict[str, Any]] = {}
+        # Keys with an intent and no ack, in acceptance order. Acks are
+        # never dropped, so an acked key never becomes pending again.
+        self._pending: Dict[str, None] = {}
         # Observability counters (mirrored into hub gauges by the
         # gateway's snapshot path).
         self.write_errors = 0
@@ -92,15 +94,22 @@ class RequestJournal:
             self.torn_records += 1
             return
         if kind == "intent":
-            if key not in self._intents:
-                self._intent_order.append(key)
-            self._intents[key] = record
+            self._intent(key, record)
         elif kind == "ack":
             # Acks are authoritative even without a surviving intent
             # (the intent line may have been the torn one).
-            self._acks[key] = record
+            self._ack(key, record)
         else:
             self.torn_records += 1
+
+    def _intent(self, key: str, record: Dict[str, Any]) -> None:
+        if key not in self._intents and key not in self._acks:
+            self._pending[key] = None
+        self._intents[key] = record
+
+    def _ack(self, key: str, record: Dict[str, Any]) -> None:
+        self._acks[key] = record
+        self._pending.pop(key, None)
 
     # -- appends -------------------------------------------------------
 
@@ -141,9 +150,7 @@ class RequestJournal:
             "body": body,
         }
         with self._lock:
-            if key not in self._intents:
-                self._intent_order.append(key)
-            self._intents[key] = record
+            self._intent(key, record)
             self._append(record)
 
     def record_ack(
@@ -158,7 +165,7 @@ class RequestJournal:
             "body": body,
         }
         with self._lock:
-            self._acks[key] = record
+            self._ack(key, record)
             action = hooks.fire(hooks.SITE_JOURNAL_ACK, key=key)
             if isinstance(action, dict) and action.get("action") == "suppress":
                 # The process "died" between responding and journalling
@@ -189,20 +196,14 @@ class RequestJournal:
     def pending(self) -> List[Dict[str, Any]]:
         """Intents without an ack, in original acceptance order."""
         with self._lock:
-            return [
-                dict(self._intents[key])
-                for key in self._intent_order
-                if key not in self._acks
-            ]
+            return [dict(self._intents[key]) for key in self._pending]
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "intents": len(self._intents),
                 "acks": len(self._acks),
-                "pending": sum(
-                    1 for key in self._intent_order if key not in self._acks
-                ),
+                "pending": len(self._pending),
                 "write_errors": self.write_errors,
                 "torn_writes": self.torn_writes,
                 "suppressed_acks": self.suppressed_acks,
@@ -220,9 +221,7 @@ class RequestJournal:
         """
         with self._lock:
             records: List[Dict[str, Any]] = [
-                self._intents[key]
-                for key in self._intent_order
-                if key not in self._acks
+                self._intents[key] for key in self._pending
             ]
             records.extend(self._acks.values())
             data = "".join(

@@ -57,8 +57,10 @@ class CoruscantSystem:
         telemetry: ``True`` (a fresh :class:`TelemetryHub`) or a hub
             object to trace and measure every layer: the facade's
             ``pim.<op>`` spans nest the controller's ``cpim.<op>`` and
-            the core units' phase spans, and the device / resilience /
-            scrub counters publish into the hub's metrics registry.
+            the core units' phase spans, the resilience / scrub
+            counters publish into the hub's metrics registry, and the
+            hub watches the device stats of every cluster the system
+            touches, folding them into ``device.*`` when it is read.
             ``False`` (default) keeps the zero-overhead null path.
     """
 
@@ -148,7 +150,7 @@ class CoruscantSystem:
         if self.policy is not None:
             dbc.tr_vote_reads = self.policy.tr_vote_reads
         if self.telemetry is not None and dbc.stats.sink is None:
-            dbc.stats.sink = self.telemetry
+            self.telemetry.watch(dbc.stats)
             dbc.tracer = self.telemetry.tracer
         return dbc
 

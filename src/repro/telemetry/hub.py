@@ -2,18 +2,30 @@
 
 A :class:`TelemetryHub` is what ``CoruscantSystem(telemetry=...)`` wires
 through the device, arch, core, and resilience layers. Each layer calls
-the narrow publishing helpers here (``device_op``, ``memory_access``,
-``cpim_op``, ...) so instrument names and bucket edges stay consistent
+the narrow publishing helpers here (``memory_access``, ``cpim_op``,
+``pim_op``, ...) so instrument names and bucket edges stay consistent
 no matter who publishes.
+
+The device layer is too hot to publish into: a kernel makes hundreds of
+:meth:`DeviceStats.record <repro.device.stats.DeviceStats.record>`
+calls. The hub instead *watches* the stats of the clusters it is
+attached to (:meth:`TelemetryHub.watch`), and of those an activated
+scope adopts (:meth:`TelemetryHub.adopt`). Reading the registry —
+:meth:`MetricsRegistry.as_dict
+<repro.telemetry.metrics.MetricsRegistry.as_dict>`, which every export
+goes through — first folds into the ``device.*`` counters what each of
+them recorded since the previous read (:meth:`TelemetryHub.device_op`
+names those counters), so recording itself costs the hub nothing.
 
 Concurrency: the service/campaign/resilience hooks (``service_*``,
 ``shard_*``, ``resilient_op``, breaker transitions) are called from the
 gateway event loop, worker threads, and the campaign supervisor at
 request/attempt frequency, so they serialize their metric updates under
 one hub lock and mirror themselves into the structured event log. The
-device-layer hot paths (``device_op``, ``memory_access``, ``cpim_op``,
-...) run millions of times per kernel inside one simulator thread and
-stay lock-free.
+fold and the watch bookkeeping take the same lock, so two concurrent
+reads never fold one record twice. The per-kernel hooks
+(``memory_access``, ``cpim_op``, ``pim_op``, ...) run inside one
+simulator thread and stay lock-free.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
+from repro.telemetry import runtime
 from repro.telemetry.chrome import chrome_trace, write_chrome_trace
 from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import MetricsRegistry
@@ -38,6 +51,18 @@ REQUEST_SECONDS_BUCKETS = (
 )
 
 
+class _Watched:
+    """A watched DeviceStats and what the hub has folded from it so far."""
+
+    __slots__ = ("stats", "counts", "cycles", "energy")
+
+    def __init__(self, stats) -> None:
+        self.stats = stats
+        self.counts: Dict[str, int] = dict(stats.op_counts)
+        self.cycles: Dict[str, int] = dict(stats.op_cycles)
+        self.energy: Dict[str, float] = dict(stats.op_energy_pj)
+
+
 class TelemetryHub:
     """Tracer + metrics registry + event log + the publishing helpers."""
 
@@ -51,6 +76,9 @@ class TelemetryHub:
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self.events = EventLog() if events is None else events
         self._lock = threading.Lock()
+        # Watched DeviceStats by id(); each entry keeps its stats alive.
+        self._watched: Dict[int, _Watched] = {}
+        self.metrics.add_collector(self._fold)
         # Dropped event-log records surface as a counter, not as an
         # event (emitting an event about a failed emit would recurse
         # straight back into the failing sink).
@@ -64,15 +92,96 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # device layer
 
+    def watch(self, stats) -> None:
+        """Count what ``stats`` record from now on in ``device.*``.
+
+        The hub keeps ``stats`` and folds their new records in whenever
+        its registry is read. Stats attached to a hub (``stats.sink``)
+        stay with it. Stats an activated scope adopted are released by
+        that scope's hub first, which counts what they recorded so far,
+        so no record is counted twice.
+        """
+        scope = stats.scope
+        if scope is not None:
+            scope.release(stats)
+        with self._lock:
+            if stats.sink is None and stats.scope is None:
+                stats.sink = self
+                self._watched[id(stats)] = _Watched(stats)
+
+    def adopt(self, stats) -> None:
+        """Watch ``stats`` until this hub stops being the active one.
+
+        Called through :func:`repro.telemetry.runtime.adopt` on the
+        first record of stats that have no hub. A no-op once the hub is
+        no longer active (:meth:`release_adopted` already ran).
+        """
+        with self._lock:
+            if (
+                runtime.active_hub() is self
+                and stats.sink is None
+                and stats.scope is None
+            ):
+                stats.scope = self
+                self._watched[id(stats)] = _Watched(stats)
+
+    def release(self, stats) -> None:
+        """Fold what ``stats`` recorded since the last read; stop watching."""
+        with self._lock:
+            watched = self._watched.pop(id(stats), None)
+            if watched is not None:
+                self._fold_one(watched)
+                stats.sink = stats.scope = None
+
+    def release_adopted(self) -> None:
+        """Release every adopted stats: the hub's activated scope ended."""
+        with self._lock:
+            for key, watched in list(self._watched.items()):
+                if watched.stats.scope is self:
+                    self._fold_one(watched)
+                    watched.stats.scope = None
+                    del self._watched[key]
+
+    def _fold(self) -> None:
+        """The registry's collector: fold every watched stats."""
+        with self._lock:
+            for watched in self._watched.values():
+                self._fold_one(watched)
+
+    def _fold_one(self, watched: _Watched) -> None:
+        # Caller holds the lock. The dict() copies are atomic under the
+        # GIL, so a record running meanwhile in the stats' own thread
+        # cannot change a dict mid-iteration; what a copy misses is
+        # still unfolded at the next read.
+        stats = watched.stats
+        counts = dict(stats.op_counts)
+        cycles = dict(stats.op_cycles)
+        energy = dict(stats.op_energy_pj)
+        seen_counts = watched.counts
+        seen_cycles = watched.cycles
+        seen_energy = watched.energy
+        for op, n in counts.items():
+            c = cycles.get(op, 0)
+            e = energy.get(op, 0.0)
+            dn = n - seen_counts.get(op, 0)
+            dc = c - seen_cycles.get(op, 0)
+            de = e - seen_energy.get(op, 0.0)
+            if dn or dc or de or op not in seen_counts:
+                self.device_op(op, dc, de, dn)
+                seen_counts[op] = n
+                seen_cycles[op] = c
+                seen_energy[op] = e
+
     def device_op(
         self, op: str, cycles: int, energy_pj: float, count: int = 1
     ) -> None:
-        """One :meth:`DeviceStats.record` call's worth of device activity.
+        """``count`` occurrences of device op ``op``, with their totals.
 
-        Publishes totals plus per-op breakdowns; the per-op cycle and
-        energy counters are what the observability layer's hotspot table
-        (:func:`repro.obs.fidelity.extract_hotspots`) attributes costs
-        from.
+        The fold publishes each watched stats' activity since the last
+        read through here: totals plus per-op breakdowns. The per-op
+        cycle and energy counters are what the observability layer's
+        hotspot table (:func:`repro.obs.fidelity.extract_hotspots`)
+        attributes costs from.
         """
         m = self.metrics
         m.counter("device.ops").inc(count)

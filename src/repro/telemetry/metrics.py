@@ -3,7 +3,9 @@
 The registry is the pull-based side of the telemetry subsystem: layers
 publish into named instruments as they run, and a campaign/CLI snapshot
 exports everything with :meth:`MetricsRegistry.as_dict` — always
-non-destructively (reading a metric never resets it).
+non-destructively (reading a metric never resets it). Sources too hot
+to publish as they run register a *collector* instead: ``as_dict``
+calls it first, so the snapshot includes what it folds in.
 
 Instrument naming follows a dotted ``layer.thing`` convention:
 ``device.cycles``, ``mem.row_hits``, ``cpim.tr_per_op``,
@@ -13,7 +15,7 @@ Instrument naming follows a dotted ``layer.thing`` convention:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -158,6 +160,11 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._collectors: List[Callable[[], None]] = []
+
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Call ``collect()`` at the start of every :meth:`as_dict`."""
+        self._collectors.append(collect)
 
     # ------------------------------------------------------------------
 
@@ -208,7 +215,12 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:
-        """A JSON-ready, non-destructive snapshot of every instrument."""
+        """A JSON-ready, non-destructive snapshot of every instrument.
+
+        This is the registry's one read path: the collectors run first.
+        """
+        for collect in self._collectors:
+            collect()
         return {
             "counters": {
                 name: c.value for name, c in sorted(self._counters.items())

@@ -7,16 +7,6 @@ from repro.telemetry import TelemetryHub, runtime
 import pytest
 
 
-class _RecordingSink:
-    """Minimal telemetry sink: records every device_op call."""
-
-    def __init__(self):
-        self.calls = []
-
-    def device_op(self, op, cycles, energy_pj, count):
-        self.calls.append((op, cycles, energy_pj, count))
-
-
 class TestDeviceStats:
     def test_record_accumulates(self):
         stats = DeviceStats()
@@ -128,14 +118,22 @@ class TestAsDict:
 
 class TestSinkPublishing:
     def test_attached_sink_receives_every_record(self):
-        sink = _RecordingSink()
-        stats = DeviceStats(sink=sink)
+        hub = TelemetryHub()
+        stats = DeviceStats()
+        hub.watch(stats)
         stats.record("shift", 1, 0.5, count=4)
         stats.record("tr", 2, 1.0)
-        assert sink.calls == [
-            ("shift", 4, 2.0, 4),
-            ("tr", 2, 1.0, 1),
-        ]
+        assert hub.metrics.as_dict()["counters"] == {
+            "device.cycles": 6,
+            "device.energy_pj": 3.0,
+            "device.ops": 5,
+            "device.shift.count": 4,
+            "device.shift.cycles": 4,
+            "device.shift.energy_pj": 2.0,
+            "device.tr.count": 1,
+            "device.tr.cycles": 2,
+            "device.tr.energy_pj": 1.0,
+        }
 
     def test_no_sink_no_publish(self):
         stats = DeviceStats()
@@ -152,12 +150,20 @@ class TestSinkPublishing:
         assert counters["device.cycles"] == 6
 
     def test_attached_sink_wins_over_active_hub(self):
-        sink = _RecordingSink()
+        attached = TelemetryHub()
         hub = TelemetryHub()
-        stats = DeviceStats(sink=sink)
+        stats = DeviceStats()
+        attached.watch(stats)
         with runtime.activated(hub):
             stats.record("read", 1, 0.4)
-        assert sink.calls == [("read", 1, 0.4, 1)]
+        assert attached.metrics.as_dict()["counters"] == {
+            "device.cycles": 1,
+            "device.energy_pj": 0.4,
+            "device.ops": 1,
+            "device.read.count": 1,
+            "device.read.cycles": 1,
+            "device.read.energy_pj": 0.4,
+        }
         assert hub.metrics.as_dict()["counters"] == {}
 
 

@@ -8,6 +8,10 @@ counters instead of reaching the request path.
 
 import json
 import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import hooks
 from repro.chaos.faults import ChaosInjector, FaultEvent
@@ -194,3 +198,93 @@ class TestJournalCompaction:
         lines = (tmp_path / "journal.jsonl").read_text().splitlines()
         assert len(lines) == 6
         assert not os.path.exists(str(tmp_path / "journal.jsonl.tmp"))
+
+
+class _SuppressAcks:
+    """A chaos injector that suppresses every ack it sees."""
+
+    def fire(self, site, **_context):
+        if site == hooks.SITE_JOURNAL_ACK:
+            return {"action": "suppress"}
+        return None
+
+
+def recount(path):
+    """counts() by brute force from the journal file's records."""
+    order, acks = [], set()
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            record = json.loads(line)
+            if record["type"] == "intent" and record["key"] not in order:
+                order.append(record["key"])
+            elif record["type"] == "ack":
+                acks.add(record["key"])
+    return order, acks
+
+
+_KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("intent"), _KEYS),
+        st.tuples(st.just("ack"), _KEYS),
+        st.tuples(st.just("suppressed_ack"), _KEYS),
+        st.tuples(st.just("compact"), st.none()),
+        st.tuples(st.just("reopen"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestJournalPendingCount:
+    """``counts()`` keeps pending incrementally; check it by recounting."""
+
+    @staticmethod
+    def assert_counts(journal, order, acks):
+        pending = [key for key in order if key not in acks]
+        counts = journal.counts()
+        assert counts["intents"] == len(order)
+        assert counts["acks"] == len(acks)
+        assert counts["pending"] == len(pending)
+        assert [p["key"] for p in journal.pending()] == pending
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_STEPS)
+    def test_counts_match_a_brute_force_recount(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "journal.jsonl")
+            journal = RequestJournal(path)
+            order, acks = [], set()
+            try:
+                for step, key in steps:
+                    if step == "intent":
+                        journal.record_intent(key, "add", {"k": key})
+                        if key not in order:
+                            order.append(key)
+                    elif step == "ack":
+                        journal.record_ack(key, 200, {"k": key})
+                        acks.add(key)
+                    elif step == "suppressed_ack":
+                        hooks.activate(_SuppressAcks())
+                        try:
+                            journal.record_ack(key, 200, {"k": key})
+                        finally:
+                            hooks.deactivate()
+                        acks.add(key)
+                    elif step == "compact":
+                        journal.compact()
+                    else:
+                        journal.close()
+                        journal = RequestJournal(path)
+                        order, acks = recount(path)
+                    self.assert_counts(journal, order, acks)
+                    recovered = RequestJournal(path)
+                    try:
+                        self.assert_counts(recovered, *recount(path))
+                    finally:
+                        recovered.close()
+            finally:
+                journal.close()
