@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.bench_pim_ops import SCHEMA, run_benchmarks
-from repro.obs.bench import DeterminismError, bench_kernel
+from repro.obs.bench import (
+    BENCH_SCHEMA as SCHEMA,
+    DeterminismError,
+    bench_kernel,
+    run_benchmarks,
+)
 
 REQUIRED_KERNEL_KEYS = {
     "name",
@@ -73,16 +77,17 @@ def test_single_repeat_never_raises_determinism_error():
     assert result["sim_cycles"] > 0
 
 
-def test_fixture_script_writes_valid_json(tmp_path):
+def test_bench_command_writes_valid_json(tmp_path):
     out = tmp_path / "BENCH_pim_ops.json"
-    script = Path(__file__).with_name("bench_pim_ops.py")
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(script.parent.parent / "src")
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, str(script), "--out", str(out), "--repeats", "1"],
+        [sys.executable, "-m", "repro", "bench", "--repeats", "1",
+         "--no-history", "--bench-out", str(out)],
         capture_output=True,
         text=True,
         env=env,
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     document = json.loads(out.read_text())

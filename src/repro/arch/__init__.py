@@ -9,7 +9,6 @@ from repro.arch.geometry import MemoryGeometry
 from repro.arch.dbc import DomainBlockCluster
 from repro.arch.timing import DDRTimings, DRAM_DDR3_1600, DWM_DDR3_1600
 from repro.arch.rowbuffer import RowBuffer
-from repro.arch.commands import Command, CommandKind
 from repro.arch.tile import Tile
 from repro.arch.subarray import Subarray
 from repro.arch.bank import Bank
@@ -18,8 +17,6 @@ from repro.arch.controller import MemoryController
 
 __all__ = [
     "Bank",
-    "Command",
-    "CommandKind",
     "DDRTimings",
     "DRAM_DDR3_1600",
     "DWM_DDR3_1600",

@@ -9,16 +9,14 @@ command sequences the core units execute on the target DBC.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.arch.commands import Command, CommandKind
 from repro.arch.memory import MainMemory
 from repro.core.addition import MultiOperandAdder
 from repro.core.bulk_bitwise import BulkBitwiseUnit
 from repro.core.isa import Address, CpimInstruction, CpimOp
 from repro.core.maxpool import MaxUnit
-from repro.core.multiplication import Multiplier
 from repro.core.nmr import ModularRedundancy
 from repro.core.pim_logic import BulkOp
 from repro.core.reduction import CarrySaveReducer
@@ -44,10 +42,6 @@ class ControllerStats:
     row_hits: int = 0
     row_misses: int = 0
     memory_cycles: int = 0
-    command_log: List[Command] = field(default_factory=list)
-
-    def log(self, command: Command) -> None:
-        self.command_log.append(command)
 
     @property
     def row_hit_rate(self) -> float:
@@ -55,7 +49,7 @@ class ControllerStats:
         return self.row_hits / accesses if accesses else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        """Non-destructive counter snapshot (the command log is omitted)."""
+        """Non-destructive counter snapshot."""
         return {
             "reads": self.reads,
             "writes": self.writes,
@@ -136,7 +130,6 @@ class MemoryController:
         bits = dbc.read_row(port_index=0)
         hit = self._account_access(address, shifts, is_write=False)
         self.stats.reads += 1
-        self.stats.log(self._command(CommandKind.READ, address))
         if self.telemetry is not None:
             self.telemetry.memory_access(is_write=False, row_hit=hit)
         self._notify_op()
@@ -149,7 +142,6 @@ class MemoryController:
         dbc.write_row(list(bits), port_index=0)
         hit = self._account_access(address, shifts, is_write=True)
         self.stats.writes += 1
-        self.stats.log(self._command(CommandKind.WRITE, address))
         if self.telemetry is not None:
             self.telemetry.memory_access(is_write=True, row_hit=hit)
         self._notify_op()
@@ -201,49 +193,33 @@ class MemoryController:
         op = instruction.op
         if op in _BULK_OPS:
             unit = BulkBitwiseUnit(dbc)
-            result = unit.execute(_BULK_OPS[op], instruction.operands)
-            self.stats.log(
-                self._command(CommandKind.PIM_BULK, instruction.src)
-            )
-            return result
+            return unit.execute(_BULK_OPS[op], instruction.operands)
         if op is CpimOp.ADD:
             adder = MultiOperandAdder(dbc)
             blocks = dbc.tracks // instruction.blocksize
-            result = adder.run(
+            return adder.run(
                 instruction.operands,
                 result_bits=instruction.blocksize,
                 blocks=blocks,
                 block_stride=instruction.blocksize,
             )
-            self.stats.log(self._command(CommandKind.PIM_ADD, instruction.src))
-            return result
         if op is CpimOp.MAX:
             unit = MaxUnit(dbc)
-            result = unit.run(n_bits=instruction.blocksize)
-            self.stats.log(self._command(CommandKind.PIM_MAX, instruction.src))
-            return result
+            return unit.run(n_bits=instruction.blocksize)
         if op is CpimOp.REDUCE:
             reducer = CarrySaveReducer(dbc)
             rows = [
                 dbc.peek_window_slot(slot)
                 for slot in range(instruction.operands)
             ]
-            result = reducer.reduce_once(rows)
-            self.stats.log(
-                self._command(CommandKind.PIM_REDUCE, instruction.src)
-            )
-            return result
+            return reducer.reduce_once(rows)
         if op is CpimOp.VOTE:
             voter = ModularRedundancy(dbc)
             replicas = [
                 dbc.peek_window_slot(slot)
                 for slot in range(instruction.operands)
             ]
-            result = voter.vote(replicas)
-            self.stats.log(
-                self._command(CommandKind.PIM_VOTE, instruction.src)
-            )
-            return result
+            return voter.vote(replicas)
         raise NotImplementedError(
             f"cpim op {op.name} requires staged operand data; use the "
             "core units directly or repro.sim.system"
@@ -291,14 +267,3 @@ class MemoryController:
         self._open_rows[key] = address.row
         self.stats.memory_cycles += cycles
         return hit
-
-    @staticmethod
-    def _command(kind: CommandKind, address: Address) -> Command:
-        return Command(
-            kind=kind,
-            bank=address.bank,
-            subarray=address.subarray,
-            tile=address.tile,
-            dbc=address.dbc,
-            row=address.row,
-        )

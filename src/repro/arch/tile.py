@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.arch.dbc import DomainBlockCluster
-from repro.arch.rowbuffer import RowBuffer
 from repro.device.faults import FaultInjector
 from repro.device.parameters import DeviceParameters
 
@@ -36,7 +35,6 @@ class Tile:
         self.tracks = tracks
         self.domains = domains
         self.injector = injector or FaultInjector()
-        self.row_buffer = RowBuffer(tracks)
         self._lazy = lazy
         self._dbcs: List[Optional[DomainBlockCluster]] = [None] * dbcs
         if not lazy:

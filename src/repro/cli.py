@@ -547,31 +547,6 @@ def _campaign_config(args):
     )
 
 
-def _parse_crash(spec: Optional[str]):
-    """``SHARD:OP[:MODE]`` -> the sharded runner's crash dict."""
-    if spec is None:
-        return None
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise SystemExit(
-            f"--inject-worker-crash wants SHARD:OP[:MODE], got {spec!r}"
-        )
-    try:
-        crash = {"shard": int(parts[0]), "at_op": int(parts[1])}
-    except ValueError:
-        raise SystemExit(
-            f"--inject-worker-crash wants SHARD:OP[:MODE], got {spec!r}"
-        ) from None
-    if len(parts) == 3:
-        if parts[2] not in ("kill", "hang", "kill-always"):
-            raise SystemExit(
-                f"unknown crash mode {parts[2]!r} "
-                "(kill, hang, kill-always)"
-            )
-        crash["mode"] = parts[2]
-    return crash
-
-
 def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     from repro.reliability.sharded import (
         CAMPAIGN_SCHEMA,
@@ -588,7 +563,7 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
         max_shard_retries=args.max_shard_retries,
         checkpoint_every=args.checkpoint_every,
         telemetry=telemetry,
-        crash=_parse_crash(args.inject_worker_crash),
+        crash=args.inject_worker_crash,
     )
     summaries = result.shard_summaries()
     writer.meta(schema=CAMPAIGN_SCHEMA, config=result.report["config"])
@@ -1153,6 +1128,29 @@ def _device_profile(spec: str) -> str:
     return spec
 
 
+def _crash_spec(spec: str) -> Dict[str, Any]:
+    """``SHARD:OP[:MODE]`` -> the sharded runner's crash dict."""
+    parts = spec.split(":")
+    usage = argparse.ArgumentTypeError(
+        f"wants SHARD:OP[:MODE], got {spec!r}"
+    )
+    if len(parts) not in (2, 3):
+        raise usage
+    try:
+        crash: Dict[str, Any] = {
+            "shard": int(parts[0]), "at_op": int(parts[1]),
+        }
+    except ValueError:
+        raise usage from None
+    if len(parts) == 3:
+        if parts[2] not in ("kill", "hang", "kill-always"):
+            raise argparse.ArgumentTypeError(
+                f"unknown crash mode {parts[2]!r} (kill, hang, kill-always)"
+            )
+        crash["mode"] = parts[2]
+    return crash
+
+
 def _name_in(module: str, table: str, what: str):
     """A ``type=`` accepting the keys of ``module.table``."""
 
@@ -1386,7 +1384,7 @@ def _campaign_flags(p: argparse.ArgumentParser) -> None:
     )
     _shard_flags(p)
     p.add_argument(
-        "--inject-worker-crash", metavar="SHARD:OP[:MODE]",
+        "--inject-worker-crash", type=_crash_spec, metavar="SHARD:OP[:MODE]",
         help="test hook: kill, hang or kill-always the worker of SHARD "
              "at global op OP",
     )

@@ -188,9 +188,6 @@ def _mc_shard_worker(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     shard, shards = spec["shard"], spec["shards"]
     journal = spec.get("journal_path")
-    crash = spec.get("crash")
-    if crash is not None:
-        raise ValueError("crash injection applies to campaign shards only")
     campaign = FaultCampaign(
         trd=spec["trd"],
         fault_rate=spec["fault_rate"],

@@ -137,6 +137,14 @@ class ProfileDispatcher:
         self.completed = 0
         self.dropped = 0
         self.worker_crashes = 0
+        if telemetry is not None:
+            telemetry.metrics.add_collector(self._collect_depths)
+
+    def _collect_depths(self) -> None:
+        """Registry collector: each kernel queue's depth at this read."""
+        prefix = f"service.queue_depth.{self.profile.name}."
+        for kernel, depth in self.queues.depths().items():
+            self.telemetry.metrics.gauge(prefix + kernel).set(depth)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -197,16 +205,7 @@ class ProfileDispatcher:
                 request.kernel, request.priority,
                 trace_id=request.trace_id,
             )
-            self._publish_depth(request.kernel)
         return future
-
-    def _publish_depth(self, kernel: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.service_queue_depth(
-                self.profile.name,
-                kernel,
-                len(self.queues.queues[kernel]),
-            )
 
     # ------------------------------------------------------------------
     # workers
@@ -221,7 +220,6 @@ class ProfileDispatcher:
             job = await self.queues.next()
             if job is None:
                 return
-            self._publish_depth(job.kernel)
             span = None
             if self.telemetry is not None:
                 span = self.telemetry.tracer.begin(

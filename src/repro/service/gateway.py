@@ -37,6 +37,7 @@ import asyncio
 import json
 import signal
 import time
+import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos import hooks as chaos_hooks
@@ -134,6 +135,14 @@ class Gateway:
         self.journal = journal
         self._inflight: Dict[str, "asyncio.Future"] = {}
         self.last_replay: List[Dict[str, Any]] = []
+        if journal is not None:
+            self.telemetry.metrics.add_collector(self._collect_journal)
+
+    def _collect_journal(self) -> None:
+        """Registry collector: the journal's counts at this read."""
+        gauge = self.telemetry.metrics.gauge
+        for name, value in self.journal.counts().items():
+            gauge(f"journal.{name}").set(value)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -203,7 +212,6 @@ class Gateway:
             )
         if self.telemetry is not None and replayed:
             self.telemetry.journal_replayed(len(replayed))
-            self.telemetry.journal_counts(self.journal.counts())
         self.last_replay = replayed
         return replayed
 
@@ -353,8 +361,6 @@ class Gateway:
             self.journal.record_ack(
                 journal_key, response.http_status, response.body
             )
-            if self.telemetry is not None:
-                self.telemetry.journal_counts(self.journal.counts())
         if span is not None:
             self.telemetry.tracer.finish(span, status=response.status)
         return response
@@ -544,10 +550,14 @@ class Gateway:
     ) -> None:
         try:
             status, body, headers = await self._handle_http(reader)
-        except Exception as exc:  # noqa: BLE001 - malformed wire data
+        except _BadHttp as exc:
             status, headers = 400, {}
             body = {"status": "rejected", "error": "bad_http",
                     "message": str(exc)}
+        except Exception:  # noqa: BLE001 - a server fault gets an answer
+            traceback.print_exc()
+            status, headers = 500, {}
+            body = {"status": "error", "error": "internal"}
         headers = dict(headers)
         if isinstance(body, str):
             # Pre-rendered text bodies (OpenMetrics exposition) name
@@ -579,34 +589,42 @@ class Gateway:
     async def _handle_http(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        request_line = (await reader.readline()).decode("latin-1")
-        parts = request_line.split()
+        parts = (await _read_line(reader)).split()
         if len(parts) != 3:
-            return 400, {"status": "rejected", "error": "bad_http"}, {}
+            raise _BadHttp("request line must be METHOD PATH VERSION")
         method, path, _version = parts
         content_length = 0
         accept: Optional[str] = None
         while True:
-            line = (await reader.readline()).decode("latin-1").strip()
+            line = (await _read_line(reader)).strip()
             if not line:
                 break
             name, _, value = line.partition(":")
             header = name.strip().lower()
+            value = value.strip()
             if header == "content-length":
-                content_length = int(value.strip())
+                # isdecimal() on latin-1 text admits only ASCII digits.
+                if not value.isdecimal():
+                    raise _BadHttp(
+                        "Content-Length must be a non-negative integer, "
+                        f"got {value!r}"
+                    )
+                content_length = int(value)
             elif header == "accept":
-                accept = value.strip()
+                accept = value
         if content_length > _MAX_BODY:
             return (
                 413,
                 {"status": "rejected", "error": "payload_too_large"},
                 {},
             )
-        raw = (
-            await reader.readexactly(content_length)
-            if content_length
-            else b""
-        )
+        try:
+            raw = await reader.readexactly(content_length)
+        except asyncio.IncompleteReadError as exc:
+            raise _BadHttp(
+                f"body ended after {len(exc.partial)} of "
+                f"{content_length} bytes"
+            ) from None
         if method == "GET":
             return self._handle_get(path, accept)
         if method != "POST":
@@ -664,6 +682,18 @@ class Gateway:
                 )
             return 200, self.telemetry.metrics_dict(), {}
         return 404, {"status": "rejected", "error": "not_found"}, {}
+
+
+class _BadHttp(Exception):
+    """Malformed wire input; answered ``400 bad_http``."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    try:
+        line = await reader.readline()
+    except ValueError:  # the line outgrew the stream's buffer limit
+        raise _BadHttp("request line or header too long") from None
+    return line.decode("latin-1")
 
 
 _REASONS = {

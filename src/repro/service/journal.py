@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.chaos import hooks
 from repro.utils.durable import atomic_write
@@ -49,13 +49,16 @@ class RequestJournal:
     def __init__(self, path: str) -> None:
         self.path = path
         self._lock = threading.Lock()
-        self._intents: Dict[str, Dict[str, Any]] = {}
+        # Every key that ever had an intent. Only a pending intent's
+        # record is kept: once acked it is never read again.
+        self._intent_keys: Set[str] = set()
         self._acks: Dict[str, Dict[str, Any]] = {}
-        # Keys with an intent and no ack, in acceptance order. Acks are
-        # never dropped, so an acked key never becomes pending again.
-        self._pending: Dict[str, None] = {}
-        # Observability counters (mirrored into hub gauges by the
-        # gateway's snapshot path).
+        # Key -> intent record for keys with an intent and no ack, in
+        # acceptance order. Acks are never dropped, so an acked key
+        # never becomes pending again.
+        self._pending: Dict[str, Dict[str, Any]] = {}
+        # Observability counters (read into hub gauges by the gateway's
+        # registry collector).
         self.write_errors = 0
         self.torn_writes = 0
         self.suppressed_acks = 0
@@ -103,9 +106,11 @@ class RequestJournal:
             self.torn_records += 1
 
     def _intent(self, key: str, record: Dict[str, Any]) -> None:
-        if key not in self._intents and key not in self._acks:
-            self._pending[key] = None
-        self._intents[key] = record
+        self._intent_keys.add(key)
+        if key not in self._acks:
+            # A repeated intent replaces the pending record but keeps
+            # its place in acceptance order.
+            self._pending[key] = record
 
     def _ack(self, key: str, record: Dict[str, Any]) -> None:
         self._acks[key] = record
@@ -191,17 +196,17 @@ class RequestJournal:
 
     def has_intent(self, key: str) -> bool:
         with self._lock:
-            return key in self._intents
+            return key in self._intent_keys
 
     def pending(self) -> List[Dict[str, Any]]:
         """Intents without an ack, in original acceptance order."""
         with self._lock:
-            return [dict(self._intents[key]) for key in self._pending]
+            return [dict(record) for record in self._pending.values()]
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
             return {
-                "intents": len(self._intents),
+                "intents": len(self._intent_keys),
                 "acks": len(self._acks),
                 "pending": len(self._pending),
                 "write_errors": self.write_errors,
@@ -220,9 +225,7 @@ class RequestJournal:
         valid journal.
         """
         with self._lock:
-            records: List[Dict[str, Any]] = [
-                self._intents[key] for key in self._pending
-            ]
+            records = list(self._pending.values())
             records.extend(self._acks.values())
             data = "".join(
                 json.dumps(record, sort_keys=True) + "\n"

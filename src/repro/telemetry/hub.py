@@ -394,14 +394,6 @@ class TelemetryHub:
                 seconds=seconds,
             )
 
-    def service_queue_depth(
-        self, profile: str, kernel: str, depth: int
-    ) -> None:
-        with self._lock:
-            self.metrics.gauge(
-                f"service.queue_depth.{profile}.{kernel}"
-            ).set(depth)
-
     def service_breaker_transition(
         self, profile: str, src: str, dst: str
     ) -> None:
@@ -439,12 +431,6 @@ class TelemetryHub:
                 profile=profile,
                 worker=worker,
             )
-
-    def journal_counts(self, counts: Dict[str, int]) -> None:
-        """Mirror the request journal's counters into gauges."""
-        with self._lock:
-            for name, value in counts.items():
-                self.metrics.gauge(f"journal.{name}").set(value)
 
     def journal_dedup_hit(self) -> None:
         """A duplicate idempotency key answered from the journal."""

@@ -4,8 +4,10 @@ The registry is the pull-based side of the telemetry subsystem: layers
 publish into named instruments as they run, and a campaign/CLI snapshot
 exports everything with :meth:`MetricsRegistry.as_dict` — always
 non-destructively (reading a metric never resets it). Sources too hot
-to publish as they run register a *collector* instead: ``as_dict``
-calls it first, so the snapshot includes what it folds in.
+to publish as they run, and owners whose state a gauge reports (the
+gateway's request journal, each dispatcher's queues), register a
+*collector* instead: ``as_dict`` calls it first, so the snapshot
+includes what it folds in or reads.
 
 Instrument naming follows a dotted ``layer.thing`` convention:
 ``device.cycles``, ``mem.row_hits``, ``cpim.tr_per_op``,

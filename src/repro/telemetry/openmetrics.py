@@ -13,9 +13,10 @@ Instrument names are dotted (``service.request_seconds``); OpenMetrics
 names must match ``[a-zA-Z_][a-zA-Z0-9_]*`` and dimensions belong in
 labels, not name segments. The mapping:
 
-* the dynamic name segments the hub mints (per-kernel latency, per
-  priority/reason/stage/status counters, per-queue depth gauges,
-  resilience verdicts) become **labels** on one family, e.g.
+* the dynamic name segments the hub and the dispatchers mint
+  (per-kernel latency, per priority/reason/stage/status counters,
+  per-queue depth gauges, resilience verdicts) become **labels** on one
+  family, e.g.
   ``service.mult.request_seconds`` ->
   ``coruscant_service_request_seconds{kernel="mult"}`` and
   ``service.rejected.queue_full`` ->

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -181,14 +180,12 @@ class SamplingProfiler:
         interval_s: float = 0.005,
         tracer=None,
         frames_fn: Callable[[], Dict[int, Any]] = sys._current_frames,
-        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
         self.interval_s = interval_s
         self.tracer = tracer
         self._frames_fn = frames_fn
-        self._clock = clock
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -198,8 +195,6 @@ class SamplingProfiler:
         self._requests: Dict[str, Dict[str, Any]] = {}
         self.samples = 0
         self.rounds = 0
-        self.started_at: Optional[float] = None
-        self.stopped_at: Optional[float] = None
 
     @property
     def running(self) -> bool:
@@ -209,7 +204,6 @@ class SamplingProfiler:
         if self.running:
             raise RuntimeError("profiler is already running")
         self._stop.clear()
-        self.started_at = self._clock()
         self._thread = threading.Thread(
             target=self._loop, name="coruscant-profiler", daemon=True
         )
@@ -221,7 +215,6 @@ class SamplingProfiler:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        self.stopped_at = self._clock()
         return self
 
     def _loop(self) -> None:
@@ -415,27 +408,6 @@ def ledger_from_tracer(tracer) -> Dict[str, Dict[str, Any]]:
     return ledger
 
 
-def attribute_phases(metrics) -> Dict[str, int]:
-    """Phase cycle totals from the ``device.<op>.cycles`` counters."""
-    phases = {phase: 0 for phase in PHASES}
-    counters = metrics.as_dict()["counters"]
-    total = int(counters.get("device.cycles", 0))
-    attributed = 0
-    for name in sorted(counters):
-        parts = name.split(".")
-        if len(parts) == 3 and parts[0] == "device" \
-                and parts[2] == "cycles":
-            op = parts[1]
-            phase = OP_PHASES.get(op) or classify_phase(op) \
-                or PHASE_COMPUTE
-            cycles = int(counters[name])
-            phases[phase] += cycles
-            attributed += cycles
-    if total > attributed:
-        phases[PHASE_COMPUTE] += total - attributed
-    return phases
-
-
 # ----------------------------------------------------------------------
 # exporters
 
@@ -562,7 +534,6 @@ __all__ = [
     "PHASE_WRITE",
     "PROFILE_SCHEMA",
     "SamplingProfiler",
-    "attribute_phases",
     "classify_phase",
     "fold_tracer",
     "ledger_from_tracer",

@@ -1,5 +1,7 @@
 """Unit tests for the memory controller."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.controller import MemoryController
@@ -64,7 +66,35 @@ class TestRegularAccess:
         ctl.read(addr())
         assert ctl.stats.reads == 1
         assert ctl.stats.writes == 1
-        assert len(ctl.stats.command_log) == 2
+
+
+class TestControllerStats:
+    def test_every_field_is_an_int_counter(self):
+        # The stats keep counters only: per-access state would grow
+        # with every op of a million-op campaign.
+        ctl = make_controller(tracks=16)
+        n = 6
+        dbc = ctl.memory.pim_dbc()
+        for i in range(n):
+            ctl.write(addr(row=i % 3), [i & 1] * 16)
+            ctl.read(addr(row=(i + 1) % 3))
+            for slot in range(7):
+                dbc.poke_window_slot(slot, [1] * 16)
+            ctl.execute(
+                CpimInstruction(
+                    op=CpimOp.AND, blocksize=16, src=addr(row=14),
+                    dest=addr(row=0), operands=2,
+                )
+            )
+        values = {
+            field.name: getattr(ctl.stats, field.name)
+            for field in dataclasses.fields(ctl.stats)
+        }
+        assert all(type(v) is int for v in values.values()), values
+        assert values["reads"] == values["writes"] == n
+        assert values["pim_ops"] == n
+        assert values["row_hits"] + values["row_misses"] == 2 * n
+        assert values["memory_cycles"] > 0
 
 
 class TestCpimDispatch:

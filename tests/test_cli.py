@@ -245,11 +245,13 @@ class TestShardedCampaignCommand:
             with pytest.raises(SystemExit):
                 main(argv)
 
-    def test_bad_crash_spec_rejected(self):
+    def test_bad_crash_spec_rejected(self, capsys):
         for spec in ("5", "a:b", "0:1:explode"):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as exc:
                 main(["campaign", "--shards", "2",
                       "--inject-worker-crash", spec])
+            assert exc.value.code == 2
+            assert "--inject-worker-crash" in capsys.readouterr().err
 
 
 class TestMcCommand:
@@ -650,13 +652,18 @@ class TestUsageErrors:
 
 _SHELL_OPERATORS = set("|&;<>()")
 
+# Each file numbers its invocations on from a fixed base, so a line added
+# to one file renames no test id of another.
+_ID_BASE = {".github/workflows/ci.yml": 0, "README.md": 21, "docs/API.md": 44}
+
 
 def _documented_invocations():
     """``python -m repro`` command lines in CI, the README and the API
     docs, as argv lists. The synopses are skipped: ``{table1,...}``, and
     ``<command>``, which the shell would read as a redirection."""
     found = []
-    for name in (".github/workflows/ci.yml", "README.md", "docs/API.md"):
+    for name, base in _ID_BASE.items():
+        count = 0
         with open(os.path.join(REPO, name), encoding="utf-8") as fh:
             text = fh.read().replace("\\\n", " ")
         for inline, line in re.findall(
@@ -673,7 +680,8 @@ def _documented_invocations():
                 words.append(word)
             argv = words[3:]
             if argv and not argv[0].startswith("{"):
-                found.append(pytest.param(argv, id=f"{name}:{len(found)}"))
+                found.append(pytest.param(argv, id=f"{name}:{base + count}"))
+                count += 1
     return found
 
 

@@ -569,3 +569,191 @@ class TestMetricsContentNegotiation:
                 await gateway.shutdown()
 
         self.run(scenario())
+
+
+class TestMetricsReadFromOwners:
+    """Queue depths and journal counts are read when /metrics is."""
+
+    def run(self, coro):
+        return asyncio.run(coro)
+
+    async def metrics(self, port, accept="application/json"):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(
+            (
+                "GET /metrics HTTP/1.1\r\nHost: localhost\r\n"
+                f"Accept: {accept}\r\nContent-Length: 0\r\n\r\n"
+            ).encode()
+        )
+        await writer.drain()
+        raw = await reader.read()
+        writer.close()
+        content = raw.partition(b"\r\n\r\n")[2]
+        if accept == "application/json":
+            return json.loads(content)["gauges"]
+        return content.decode()
+
+    def test_live_depths_and_pending_return_to_zero(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import kernels
+        from repro.service.journal import RequestJournal
+
+        entered = threading.Event()
+        release = threading.Event()
+        run_add = kernels.RUNNERS["add"]
+
+        def held_add(system, payload, deadline):
+            entered.set()
+            release.wait(timeout=30)
+            return run_add(system, payload, deadline)
+
+        monkeypatch.setitem(kernels.RUNNERS, "add", held_add)
+        add = {"words": [20, 22], "n_bits": 8}
+        multiply = {"a": 6, "b": 7, "n_bits": 8}
+
+        async def scenario():
+            journal = RequestJournal(str(tmp_path / "journal.jsonl"))
+            gateway = Gateway(port=0, workers=1, journal=journal)
+            await gateway.start()
+            loop = asyncio.get_running_loop()
+            tasks = []
+
+            def submit(kernel, payload, key):
+                tasks.append(
+                    asyncio.ensure_future(
+                        gateway.handle(
+                            kernel,
+                            {"payload": payload, "idempotency_key": key},
+                        )
+                    )
+                )
+
+            try:
+                submit("add", add, "held")
+                assert await loop.run_in_executor(None, entered.wait, 30)
+                depths = dict.fromkeys(KERNELS, 0)
+                queued = [("add", add), ("multiply", multiply),
+                          ("add", add)]
+                for index, (kernel, payload) in enumerate(queued):
+                    submit(kernel, payload, f"queued-{index}")
+                    await asyncio.sleep(0)  # admit and journal it
+                    depths[kernel] += 1
+                    gauges = await self.metrics(gateway.port)
+                    for name, depth in depths.items():
+                        key = f"service.queue_depth.default.{name}"
+                        assert gauges[key] == depth, key
+                    # The held request is pending too: it has no ack.
+                    assert gauges["journal.pending"] == index + 2
+                    assert gauges["journal.intents"] == index + 2
+                text = await self.metrics(
+                    gateway.port, accept="application/openmetrics-text"
+                )
+                assert (
+                    'coruscant_service_queue_depth{kernel="add",'
+                    'profile="default"} 2' in text.splitlines()
+                )
+                assert "coruscant_journal_pending 4" in text.splitlines()
+                release.set()
+                responses = await asyncio.gather(*tasks)
+                assert [r.status for r in responses] == ["ok"] * 4
+                gauges = await self.metrics(gateway.port)
+                for name in KERNELS:
+                    assert gauges[f"service.queue_depth.default.{name}"] == 0
+                assert gauges["journal.pending"] == 0
+                assert gauges["journal.acks"] == 4
+            finally:
+                release.set()
+                await gateway.shutdown()
+
+        self.run(scenario())
+
+
+class TestHttpErrors:
+    """Malformed wire input is a 400; a fault in a handler is a 500."""
+
+    def exchange(self, raw, journal=None, half_close=False):
+        async def scenario():
+            gateway = Gateway(port=0, workers=1, journal=journal)
+            await gateway.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", gateway.port
+                )
+                writer.write(raw)
+                if half_close:
+                    writer.write_eof()
+                await writer.drain()
+                reply = await reader.read()
+                writer.close()
+            finally:
+                await gateway.shutdown()
+            head, _, content = reply.partition(b"\r\n\r\n")
+            return int(head.split(b" ", 2)[1]), json.loads(content)
+
+        return asyncio.run(scenario())
+
+    def test_request_line_without_three_parts(self):
+        status, body = self.exchange(b"GET /healthz\r\n\r\n")
+        assert status == 400 and body["error"] == "bad_http"
+
+    @pytest.mark.parametrize("length", ["ten", "-5", "1e3", "\xb2"])
+    def test_bad_content_length(self, length):
+        status, body = self.exchange(
+            b"POST /v1/add HTTP/1.1\r\nContent-Length: "
+            + length.encode("latin-1") + b"\r\n\r\n{}"
+        )
+        assert status == 400 and body["error"] == "bad_http"
+        assert "Content-Length" in body["message"]
+
+    def test_body_shorter_than_content_length(self):
+        status, body = self.exchange(
+            b"POST /v1/add HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+            half_close=True,
+        )
+        assert status == 400 and body["error"] == "bad_http"
+        assert "2 of 10 bytes" in body["message"]
+
+    def test_body_over_the_limit_stays_413(self):
+        status, body = self.exchange(
+            b"POST /v1/add HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n"
+        )
+        assert status == 413 and body["error"] == "payload_too_large"
+
+    def test_line_over_the_stream_limit(self):
+        from repro.service.gateway import _BadHttp, _read_line
+
+        async def scenario():
+            reader = asyncio.StreamReader(limit=16)
+            reader.feed_data(b"GET /" + b"x" * 64 + b" HTTP/1.1\r\n")
+            reader.feed_eof()
+            with pytest.raises(_BadHttp, match="too long"):
+                await _read_line(reader)
+
+        asyncio.run(scenario())
+
+    def test_fault_inside_handle_is_500_internal(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.journal import RequestJournal
+
+        journal = RequestJournal(str(tmp_path / "journal.jsonl"))
+
+        def broken_ack(*_args, **_kwargs):
+            raise RuntimeError("ack write failed")
+
+        # record_ack runs inside handle(), after admission and the
+        # journal intent.
+        monkeypatch.setattr(journal, "record_ack", broken_ack)
+        payload = json.dumps(
+            {"payload": {"words": [1, 2], "n_bits": 8},
+             "idempotency_key": "k1"}
+        ).encode()
+        status, body = self.exchange(
+            b"POST /v1/add HTTP/1.1\r\nContent-Length: "
+            + str(len(payload)).encode() + b"\r\n\r\n" + payload,
+            journal=journal,
+        )
+        assert status == 500
+        assert body == {"status": "error", "error": "internal"}
+        assert journal.has_intent("k1")

@@ -209,17 +209,64 @@ class _SuppressAcks:
         return None
 
 
+class _Model:
+    """The journal's state by brute force, in the order records arrive."""
+
+    def __init__(self):
+        self.order = []  # intent keys, first intent first
+        self.bodies = {}  # key -> its latest intent body
+        self.acks = {}  # key -> its latest ack body, first ack first
+
+    def intent(self, key, body):
+        if key not in self.bodies:
+            self.order.append(key)
+        self.bodies[key] = body
+
+    def ack(self, key, body):
+        self.acks[key] = body
+
+    def pending(self):
+        return [
+            {"schema": JOURNAL_SCHEMA, "type": "intent", "key": key,
+             "kernel": "add", "body": self.bodies[key]}
+            for key in self.order
+            if key not in self.acks
+        ]
+
+    def compacted(self):
+        """The bytes ``compact()`` writes: pending intents, then acks."""
+        records = self.pending() + [
+            {"schema": JOURNAL_SCHEMA, "type": "ack", "key": key,
+             "http_status": 200, "body": body}
+            for key, body in self.acks.items()
+        ]
+        return "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        ).encode()
+
+
 def recount(path):
-    """counts() by brute force from the journal file's records."""
-    order, acks = [], set()
+    """The model of a journal file, rebuilt from its records."""
+    model = _Model()
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             record = json.loads(line)
-            if record["type"] == "intent" and record["key"] not in order:
-                order.append(record["key"])
+            if record["type"] == "intent":
+                model.intent(record["key"], record["body"])
             elif record["type"] == "ack":
-                acks.add(record["key"])
-    return order, acks
+                model.ack(record["key"], record["body"])
+    return model
+
+
+def intent_records_held(journal):
+    """How many intent records the journal's own state references."""
+    return sum(
+        1
+        for value in vars(journal).values()
+        if isinstance(value, dict)
+        for item in value.values()
+        if isinstance(item, dict) and item.get("type") == "intent"
+    )
 
 
 _KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -236,16 +283,24 @@ _STEPS = st.lists(
 
 
 class TestJournalPendingCount:
-    """``counts()`` keeps pending incrementally; check it by recounting."""
+    """``counts()`` keeps pending incrementally; check it by recounting.
+
+    The journal keeps an intent's record only while it is pending, so
+    once every intent is acked it holds none; every query and the
+    compacted file must still match the brute-force model.
+    """
 
     @staticmethod
-    def assert_counts(journal, order, acks):
-        pending = [key for key in order if key not in acks]
+    def assert_matches(journal, model):
+        pending = model.pending()
         counts = journal.counts()
-        assert counts["intents"] == len(order)
-        assert counts["acks"] == len(acks)
+        assert counts["intents"] == len(model.order)
+        assert counts["acks"] == len(model.acks)
         assert counts["pending"] == len(pending)
-        assert [p["key"] for p in journal.pending()] == pending
+        assert journal.pending() == pending
+        for key in ("a", "b", "c", "d", "e"):
+            assert journal.has_intent(key) == (key in model.bodies)
+        assert intent_records_held(journal) == len(pending)
 
     @settings(
         max_examples=150,
@@ -257,33 +312,35 @@ class TestJournalPendingCount:
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "journal.jsonl")
             journal = RequestJournal(path)
-            order, acks = [], set()
+            model = _Model()
             try:
-                for step, key in steps:
+                for index, (step, key) in enumerate(steps):
+                    body = {"k": key, "step": index}
                     if step == "intent":
-                        journal.record_intent(key, "add", {"k": key})
-                        if key not in order:
-                            order.append(key)
+                        journal.record_intent(key, "add", body)
+                        model.intent(key, body)
                     elif step == "ack":
-                        journal.record_ack(key, 200, {"k": key})
-                        acks.add(key)
+                        journal.record_ack(key, 200, body)
+                        model.ack(key, body)
                     elif step == "suppressed_ack":
                         hooks.activate(_SuppressAcks())
                         try:
-                            journal.record_ack(key, 200, {"k": key})
+                            journal.record_ack(key, 200, body)
                         finally:
                             hooks.deactivate()
-                        acks.add(key)
+                        model.ack(key, body)
                     elif step == "compact":
                         journal.compact()
+                        with open(path, "rb") as handle:
+                            assert handle.read() == model.compacted()
                     else:
                         journal.close()
                         journal = RequestJournal(path)
-                        order, acks = recount(path)
-                    self.assert_counts(journal, order, acks)
+                        model = recount(path)
+                    self.assert_matches(journal, model)
                     recovered = RequestJournal(path)
                     try:
-                        self.assert_counts(recovered, *recount(path))
+                        self.assert_matches(recovered, recount(path))
                     finally:
                         recovered.close()
             finally:

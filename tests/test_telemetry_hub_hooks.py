@@ -67,11 +67,6 @@ class TestServiceHooks:
         assert event["seconds"] == pytest.approx(0.012)
         assert event["trace_id"] == "t5"
 
-    def test_service_queue_depth(self, hub):
-        hub.service_queue_depth("storm", "add", 7)
-        gauges = hub.metrics_dict()["gauges"]
-        assert gauges["service.queue_depth.storm.add"] == 7
-
     def test_service_breaker_transition(self, hub):
         hub.service_breaker_transition("storm", "CLOSED", "OPEN")
         counters = hub.metrics_dict()["counters"]

@@ -94,7 +94,7 @@ class TestRendering:
         hub.service_rejected("add", "queue_full")
         hub.service_shed("add", "queue")
         hub.service_request("multiply", "ok", 0.002)
-        hub.service_queue_depth("storm", "add", 5)
+        hub.metrics.gauge("service.queue_depth.storm.add").set(5)
         hub.resilient_op(2, "recovered")
         lines = lines_of(hub.metrics)
         assert 'coruscant_service_admitted_total{priority="batch"} 1' in lines
