@@ -15,8 +15,7 @@ code  name           meaning
                      operands were rejected before any work ran)
 3     EXIT_DEGRADED  completed, but degraded to a partial result that
                      names what is missing (a sharded campaign with
-                     ``incomplete_shards``, a service drain that had to
-                     time out work)
+                     ``incomplete_shards``)
 ====  =============  ====================================================
 
 Scripts may therefore treat ``exit <= 0`` as success, ``3`` as "usable

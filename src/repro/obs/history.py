@@ -4,9 +4,11 @@ Every ``repro bench`` invocation appends one line to
 ``BENCH_history.jsonl`` — the full benchmark document wrapped in a
 schema-versioned envelope with a monotonically increasing sequence
 number — so the repo accumulates a comparable performance record across
-commits. :func:`load_baseline` accepts either such a history file (the
-last entry wins) or a bare ``BENCH_pim_ops.json`` document, so CI can
-gate against whichever artifact survived.
+commits. The file is a :class:`~repro.utils.durable.JsonlLog`, so a run
+killed mid-append leaves a torn last line that the next load skips and
+the next append cuts off. :func:`load_baseline` accepts either such a
+history file (the last entry wins) or a bare ``BENCH_pim_ops.json``
+document, so CI can gate against whichever artifact survived.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Dict, List, Optional
+
+from repro.utils.durable import JsonlLog
 
 HISTORY_SCHEMA = "coruscant-bench-history/1"
 
@@ -25,27 +29,26 @@ class BenchHistory:
         self.path = path
 
     def load(self) -> List[Dict[str, Any]]:
-        """Every entry, oldest first; missing file means no history."""
-        if not os.path.exists(self.path):
-            return []
+        """Every entry, oldest first; missing file means no history.
+
+        Raises :class:`ValueError` naming ``path:line`` for a complete
+        line that is not a history envelope.
+        """
         entries: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: corrupt history line: {exc}"
-                    ) from exc
-                if entry.get("schema") != HISTORY_SCHEMA:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: unexpected schema "
-                        f"{entry.get('schema')!r} (want {HISTORY_SCHEMA})"
-                    )
+        for lineno, entry in JsonlLog(self.path).read():
+            if entry is None:
+                problem = "corrupt history line: not a JSON object"
+            elif entry.get("schema") != HISTORY_SCHEMA:
+                problem = (f"unexpected schema {entry.get('schema')!r} "
+                           f"(want {HISTORY_SCHEMA})")
+            elif type(entry.get("seq")) is not int or not isinstance(
+                entry.get("bench"), dict
+            ):
+                problem = "entry needs an integer 'seq' and an object 'bench'"
+            else:
                 entries.append(entry)
+                continue
+            raise ValueError(f"{self.path}:{lineno}: {problem}")
         return entries
 
     def last(self) -> Optional[Dict[str, Any]]:
@@ -67,8 +70,8 @@ class BenchHistory:
         }
         if meta:
             envelope["meta"] = dict(meta)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(envelope, sort_keys=True) + "\n")
+        with JsonlLog(self.path) as log:
+            log.append(envelope)
         return envelope
 
     def __len__(self) -> int:
@@ -81,26 +84,15 @@ def load_baseline(path: str) -> Optional[Dict[str, Any]]:
     ``path`` may be a ``BENCH_history.jsonl`` written by
     :class:`BenchHistory` (the newest entry is returned) or one
     ``BENCH_pim_ops.json`` document. Returns None when the file does not
-    exist; raises :class:`ValueError` on unrecognisable content.
+    exist or is empty; raises :class:`ValueError` on unrecognisable
+    content.
     """
-    if not os.path.exists(path):
+    if not os.path.exists(path) or not os.path.getsize(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(1)
-    if not head:
-        return None
-    first_line = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                first_line = line.strip()
-                break
-    try:
-        first = json.loads(first_line)
-    except json.JSONDecodeError:
-        first = None
-    if isinstance(first, dict) and first.get("schema") == HISTORY_SCHEMA:
+    _lineno, first = next(JsonlLog(path).read(), (0, None))
+    if first is not None and first.get("schema") == HISTORY_SCHEMA:
         return BenchHistory(path).last()
+    # A bare document is one JSON value, usually spread over many lines.
     with open(path, "r", encoding="utf-8") as fh:
         document = json.load(fh)
     if not isinstance(document, dict) or "kernels" not in document:

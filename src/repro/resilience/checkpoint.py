@@ -157,6 +157,8 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
             document = json.load(handle)
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if document.get("format") not in _READABLE_VERSIONS:
         raise CheckpointError(
             f"checkpoint {path} has format {document.get('format')!r}, "

@@ -538,12 +538,3 @@ class ResilientExecutor:
         if (dest.bank, dest.subarray) == (src.bank, src.subarray):
             dest = replace(dest, bank=bank, subarray=subarray)
         return replace(instruction, src=new_src, dest=dest)
-
-    def remapped_home(self, bank: int, subarray: int) -> Tuple[int, int]:
-        """Where PIM work aimed at (bank, subarray) currently lands."""
-        return remap_pim_dbc(
-            bank,
-            subarray,
-            self.controller.memory.geometry,
-            self.registry.is_usable,
-        )

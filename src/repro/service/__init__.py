@@ -15,7 +15,6 @@ from repro.service.breaker import RequestBreaker, RequestBreakerConfig
 from repro.service.client import ServiceClient
 from repro.service.dispatch import ProfileDispatcher, RetryConfig
 from repro.service.gateway import Gateway, run_gateway
-from repro.service.kernels import run_kernel
 from repro.service.profiles import DeviceProfile, default_profiles
 from repro.service.protocol import (
     KERNELS,
@@ -44,5 +43,4 @@ __all__ = [
     "ServiceResponse",
     "default_profiles",
     "run_gateway",
-    "run_kernel",
 ]

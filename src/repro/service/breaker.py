@@ -91,9 +91,6 @@ class RequestBreaker:
         # more requests in flight than clean outcomes it still needs.
         self._probe_inflight = 0
 
-    def attach_telemetry(self, hub) -> None:
-        self._telemetry = hub
-
     # ------------------------------------------------------------------
 
     def _transition(self, dst: str) -> None:

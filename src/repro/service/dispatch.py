@@ -38,6 +38,7 @@ from repro.service.breaker import RequestBreaker, RequestBreakerConfig
 from repro.service.kernels import RUNNERS, run_traced
 from repro.service.profiles import DeviceProfile
 from repro.telemetry.context import TraceContext
+from repro.telemetry.hub import TelemetryHub
 from repro.service.protocol import (
     BadRequest,
     KernelFault,
@@ -115,11 +116,11 @@ class ProfileDispatcher:
     def __init__(
         self,
         profile: DeviceProfile,
+        telemetry: TelemetryHub,
         admission: Optional[AdmissionPolicy] = None,
         breaker: Optional[RequestBreakerConfig] = None,
         retry: Optional[RetryConfig] = None,
         workers: int = 2,
-        telemetry=None,
         clock=time.monotonic,
     ) -> None:
         if workers < 1:
@@ -135,10 +136,8 @@ class ProfileDispatcher:
         self._clock = clock
         self._tasks: List[asyncio.Task] = []
         self.completed = 0
-        self.dropped = 0
         self.worker_crashes = 0
-        if telemetry is not None:
-            telemetry.metrics.add_collector(self._collect_depths)
+        telemetry.metrics.add_collector(self._collect_depths)
 
     def _collect_depths(self) -> None:
         """Registry collector: each kernel queue's depth at this read."""
@@ -163,8 +162,7 @@ class ProfileDispatcher:
         self.queues.close()
         if self._tasks:
             await asyncio.gather(*self._tasks)
-        if self.telemetry is not None:
-            self.telemetry.service_drained(self.completed, self.dropped)
+        self.telemetry.service_drained(self.completed)
 
     # ------------------------------------------------------------------
     # admission
@@ -200,11 +198,9 @@ class ProfileDispatcher:
         except ServiceReject:
             self.breaker.release()
             raise
-        if self.telemetry is not None:
-            self.telemetry.service_admitted(
-                request.kernel, request.priority,
-                trace_id=request.trace_id,
-            )
+        self.telemetry.service_admitted(
+            request.kernel, request.priority, trace_id=request.trace_id
+        )
         return future
 
     # ------------------------------------------------------------------
@@ -220,16 +216,14 @@ class ProfileDispatcher:
             job = await self.queues.next()
             if job is None:
                 return
-            span = None
-            if self.telemetry is not None:
-                span = self.telemetry.tracer.begin(
-                    "service.dispatch",
-                    category="service",
-                    parent=job.request.trace,
-                    kernel=job.kernel,
-                    profile=self.profile.name,
-                    worker=index,
-                )
+            span = self.telemetry.tracer.begin(
+                "service.dispatch",
+                category="service",
+                parent=job.request.trace,
+                kernel=job.kernel,
+                profile=self.profile.name,
+                worker=index,
+            )
             try:
                 action = chaos_hooks.fire(
                     chaos_hooks.SITE_DISPATCH_WORKER,
@@ -250,7 +244,7 @@ class ProfileDispatcher:
                             float(action.get("delay_s", 0.0))
                         )
                 response = await self._process(
-                    system, job.request, context=span.context if span else None
+                    system, job.request, context=span.context
                 )
             except ChaosWorkerCrash as exc:
                 # Worker supervision: an injected death escapes per-job
@@ -262,11 +256,9 @@ class ProfileDispatcher:
                 # supervisor restart would produce.
                 self.worker_crashes += 1
                 self.breaker.release()
-                if self.telemetry is not None:
-                    self.telemetry.service_worker_crashed(
-                        self.profile.name, index,
-                        trace_id=job.request.trace_id,
-                    )
+                self.telemetry.service_worker_crashed(
+                    self.profile.name, index, trace_id=job.request.trace_id
+                )
                 response = ServiceResponse(
                     500,
                     envelope(
@@ -286,15 +278,10 @@ class ProfileDispatcher:
                         message=str(exc),
                     ),
                 )
-            if span is not None:
-                self.telemetry.tracer.finish(span, status=response.status)
+            self.telemetry.tracer.finish(span, status=response.status)
             self.completed += 1
             if not job.future.cancelled():
                 job.future.set_result(response)
-            self._finish(job, response)
-
-    def _finish(self, job: _Job, response: ServiceResponse) -> None:
-        if self.telemetry is not None:
             self.telemetry.service_request(
                 job.kernel,
                 response.status,
@@ -310,10 +297,9 @@ class ProfileDispatcher:
     ) -> ServiceResponse:
         if request.deadline.expired:
             self.breaker.release()
-            if self.telemetry is not None:
-                self.telemetry.service_shed(
-                    request.kernel, "queue", trace_id=request.trace_id
-                )
+            self.telemetry.service_shed(
+                request.kernel, "queue", trace_id=request.trace_id
+            )
             return reject_response(
                 request,
                 ServiceReject(
@@ -407,10 +393,9 @@ class ProfileDispatcher:
                     {"index": index, "reason": "deadline_exceeded"}
                 )
                 results.append(None)
-                if self.telemetry is not None:
-                    self.telemetry.service_shed(
-                        request.kernel, "batch", trace_id=request.trace_id
-                    )
+                self.telemetry.service_shed(
+                    request.kernel, "batch", trace_id=request.trace_id
+                )
                 continue
             outcome = await self._run_item(
                 system, request, item, item_index=index, context=context
@@ -504,11 +489,9 @@ class ProfileDispatcher:
             except KernelFault as exc:
                 fault = exc
             except BudgetExhaustedError as exc:
-                if self.telemetry is not None:
-                    self.telemetry.service_shed(
-                        request.kernel, "execute",
-                        trace_id=request.trace_id,
-                    )
+                self.telemetry.service_shed(
+                    request.kernel, "execute", trace_id=request.trace_id
+                )
                 return {
                     "kind": "expired", "message": str(exc),
                     "retries": retries,
@@ -522,11 +505,9 @@ class ProfileDispatcher:
                 }
             delay = self.retry.delay(purpose, attempt)
             if not request.deadline.allows(delay):
-                if self.telemetry is not None:
-                    self.telemetry.service_shed(
-                        request.kernel, "backoff",
-                        trace_id=request.trace_id,
-                    )
+                self.telemetry.service_shed(
+                    request.kernel, "backoff", trace_id=request.trace_id
+                )
                 return {
                     "kind": "expired",
                     "message": (
@@ -542,10 +523,9 @@ class ProfileDispatcher:
                     "error": fault.verdict,
                 }
             )
-            if self.telemetry is not None:
-                self.telemetry.service_retry(
-                    request.kernel, trace_id=request.trace_id
-                )
+            self.telemetry.service_retry(
+                request.kernel, trace_id=request.trace_id
+            )
             if delay:
                 await asyncio.sleep(delay)
 

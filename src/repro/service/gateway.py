@@ -28,7 +28,9 @@ dispatchers. Endpoints:
 SIGTERM (and SIGINT) starts a graceful drain: the listener refuses new
 work with 503 ``draining``, every already-admitted request runs to its
 terminal response, then the process exits 0. Nothing admitted is ever
-dropped.
+dropped. A client that has not sent its whole request within
+``_READ_TIMEOUT_S`` is answered 408 ``request_timeout`` and closed, so
+a stalled connection cannot hold the drain open.
 """
 
 from __future__ import annotations
@@ -67,6 +69,14 @@ from repro.telemetry.spans import Tracer
 from repro.utils.deadline import Deadline
 
 _MAX_BODY = 1 << 20  # 1 MiB of JSON is far beyond any kernel payload
+
+#: An HTTP answer: status, JSON body (or pre-rendered text), headers.
+_Reply = Tuple[int, Any, Dict[str, str]]
+
+#: Seconds a client gets to send its whole request (line, headers and
+#: body) before it is answered ``408 request_timeout`` and closed, so a
+#: stalled client cannot hold a connection open through a drain.
+_READ_TIMEOUT_S = 10.0
 
 #: Root-span retention for the gateway's *default* hub: enough recent
 #: requests for trace export, bounded so a long-running serve process
@@ -195,22 +205,18 @@ class Gateway:
             return []
         replayed: List[Dict[str, Any]] = []
         for intent in self.journal.pending():
-            body = intent.get("body")
-            if not isinstance(body, dict):
-                continue
             response = await self.handle(
-                str(intent.get("kernel")), body,
-                journal_key=intent["key"],
+                intent["kernel"], intent["body"], journal_key=intent["key"]
             )
             replayed.append(
                 {
                     "key": intent["key"],
-                    "kernel": intent.get("kernel"),
+                    "kernel": intent["kernel"],
                     "http_status": response.http_status,
                     "status": response.status,
                 }
             )
-        if self.telemetry is not None and replayed:
+        if replayed:
             self.telemetry.journal_replayed(len(replayed))
         self.last_replay = replayed
         return replayed
@@ -268,22 +274,16 @@ class Gateway:
             return await self._handle_core(kernel, body, None)
         if not replaying:
             ack = self.journal.get_ack(key)
-            if ack is not None and isinstance(ack.get("body"), dict):
-                replay_body = dict(ack["body"])
-                replay_body["replayed"] = True
-                if self.telemetry is not None:
-                    self.telemetry.journal_dedup_hit()
-                return ServiceResponse(
-                    int(ack["http_status"]), replay_body
-                )
+            if ack is not None:
+                replay_body = {**ack["body"], "replayed": True}
+                self.telemetry.journal_dedup_hit()
+                return ServiceResponse(ack["http_status"], replay_body)
             inflight = self._inflight.get(key)
             if inflight is not None:
                 # Concurrent duplicate: ride the first submission.
                 original = await asyncio.shield(inflight)
-                dedup_body = dict(original.body)
-                dedup_body["replayed"] = True
-                if self.telemetry is not None:
-                    self.telemetry.journal_dedup_hit()
+                dedup_body = {**original.body, "replayed": True}
+                self.telemetry.journal_dedup_hit()
                 return ServiceResponse(
                     original.http_status, dedup_body,
                     dict(original.headers),
@@ -319,15 +319,13 @@ class Gateway:
             retry_key=request_id,
             trace=trace,
         )
-        span = None
-        if self.telemetry is not None:
-            span = self.telemetry.tracer.begin(
-                "service.request",
-                category="service",
-                context=trace,
-                kernel=kernel,
-                request_id=request_id,
-            )
+        span = self.telemetry.tracer.begin(
+            "service.request",
+            category="service",
+            context=trace,
+            kernel=kernel,
+            request_id=request_id,
+        )
         try:
             request = self._parse(kernel, body, request_id, trace)
             if self.draining:
@@ -342,13 +340,11 @@ class Gateway:
                 )
             future = dispatcher.submit(request)
         except ServiceReject as reject:
-            if self.telemetry is not None:
-                self.telemetry.service_rejected(
-                    kernel, reject.error, trace_id=trace.trace_id
-                )
+            self.telemetry.service_rejected(
+                kernel, reject.error, trace_id=trace.trace_id
+            )
             response = reject_response(request, reject)
-            if span is not None:
-                self.telemetry.tracer.finish(span, status=response.status)
+            self.telemetry.tracer.finish(span, status=response.status)
             return response
         # The request is now *accepted*: journal the intent before
         # execution so a crash from here on is recoverable. Rejects
@@ -361,8 +357,7 @@ class Gateway:
             self.journal.record_ack(
                 journal_key, response.http_status, response.body
             )
-        if span is not None:
-            self.telemetry.tracer.finish(span, status=response.status)
+        self.telemetry.tracer.finish(span, status=response.status)
         return response
 
     def _parse(
@@ -474,20 +469,14 @@ class Gateway:
     # ------------------------------------------------------------------
     # debug profiling endpoints
 
-    def profile_start(
-        self, body: Optional[Dict[str, Any]] = None
-    ) -> Tuple[int, Dict[str, Any]]:
+    def profile_start(self, body: Optional[Dict[str, Any]] = None) -> _Reply:
         if not self.enable_profiling:
-            return 403, {
-                "status": "rejected",
-                "error": "profiling_disabled",
-                "message": "start the gateway with --enable-profiling",
-            }
+            return _rejected(
+                403, "profiling_disabled",
+                message="start the gateway with --enable-profiling",
+            )
         if self._profiler is not None:
-            return 409, {
-                "status": "rejected",
-                "error": "profiler_running",
-            }
+            return _rejected(409, "profiler_running")
         from repro.telemetry.profiler import SamplingProfiler
 
         interval_ms = (body or {}).get("interval_ms", 5.0)
@@ -496,33 +485,24 @@ class Gateway:
             or not isinstance(interval_ms, (int, float))
             or interval_ms <= 0
         ):
-            return 400, {
-                "status": "rejected",
-                "error": "bad_request",
-                "message": "'interval_ms' must be a positive number",
-            }
+            return _rejected(
+                400, "bad_request",
+                message="'interval_ms' must be a positive number",
+            )
         self._profiler = SamplingProfiler(
             interval_s=float(interval_ms) / 1000.0,
             tracer=self.telemetry.tracer,
         )
         self._profiler.start()
-        return 200, {
-            "status": "ok",
-            "profiling": "started",
-            "interval_ms": float(interval_ms),
-        }
+        reply = {"status": "ok", "profiling": "started",
+                 "interval_ms": float(interval_ms)}
+        return 200, reply, {}
 
-    def profile_stop(self) -> Tuple[int, Dict[str, Any]]:
+    def profile_stop(self) -> _Reply:
         if not self.enable_profiling:
-            return 403, {
-                "status": "rejected",
-                "error": "profiling_disabled",
-            }
+            return _rejected(403, "profiling_disabled")
         if self._profiler is None:
-            return 409, {
-                "status": "rejected",
-                "error": "profiler_not_running",
-            }
+            return _rejected(409, "profiler_not_running")
         from repro.telemetry.profiler import speedscope_document
 
         profiler = self._profiler
@@ -534,11 +514,8 @@ class Gateway:
             name="coruscant-gateway",
             interval_s=profiler.interval_s,
         )
-        return 200, {
-            "status": "ok",
-            "profiling": "stopped",
-            "profile": document,
-        }
+        return 200, {"status": "ok", "profiling": "stopped",
+                     "profile": document}, {}
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -551,9 +528,9 @@ class Gateway:
         try:
             status, body, headers = await self._handle_http(reader)
         except _BadHttp as exc:
-            status, headers = 400, {}
-            body = {"status": "rejected", "error": "bad_http",
-                    "message": str(exc)}
+            status, body, headers = _rejected(
+                400, "bad_http", message=str(exc)
+            )
         except Exception:  # noqa: BLE001 - a server fault gets an answer
             traceback.print_exc()
             status, headers = 500, {}
@@ -586,81 +563,41 @@ class Gateway:
         except (ConnectionError, BrokenPipeError):
             pass
 
-    async def _handle_http(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        parts = (await _read_line(reader)).split()
-        if len(parts) != 3:
-            raise _BadHttp("request line must be METHOD PATH VERSION")
-        method, path, _version = parts
-        content_length = 0
-        accept: Optional[str] = None
-        while True:
-            line = (await _read_line(reader)).strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            header = name.strip().lower()
-            value = value.strip()
-            if header == "content-length":
-                # isdecimal() on latin-1 text admits only ASCII digits.
-                if not value.isdecimal():
-                    raise _BadHttp(
-                        "Content-Length must be a non-negative integer, "
-                        f"got {value!r}"
-                    )
-                content_length = int(value)
-            elif header == "accept":
-                accept = value
-        if content_length > _MAX_BODY:
-            return (
-                413,
-                {"status": "rejected", "error": "payload_too_large"},
-                {},
-            )
+    async def _handle_http(self, reader: asyncio.StreamReader) -> _Reply:
         try:
-            raw = await reader.readexactly(content_length)
-        except asyncio.IncompleteReadError as exc:
-            raise _BadHttp(
-                f"body ended after {len(exc.partial)} of "
-                f"{content_length} bytes"
-            ) from None
+            request = await asyncio.wait_for(
+                _read_request(reader), _READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            return _rejected(408, "request_timeout")
+        if request is None:
+            return _rejected(413, "payload_too_large")
+        method, path, accept, raw = request
         if method == "GET":
             return self._handle_get(path, accept)
         if method != "POST":
-            return (
-                405,
-                {"status": "rejected", "error": "method_not_allowed"},
-                {},
-            )
+            return _rejected(405, "method_not_allowed")
         if not path.startswith("/v1/") and not path.startswith(
             "/debug/profile/"
         ):
-            return 404, {"status": "rejected", "error": "not_found"}, {}
+            return _rejected(404, "not_found")
         try:
             body = json.loads(raw.decode() or "{}")
         except (ValueError, UnicodeDecodeError):
-            return (
-                400,
-                {"status": "rejected", "error": "bad_request",
-                 "message": "body is not valid JSON"},
-                {},
+            return _rejected(
+                400, "bad_request", message="body is not valid JSON"
             )
         if path == "/debug/profile/start":
-            status, reply = self.profile_start(body)
-            return status, reply, {}
+            return self.profile_start(body)
         if path == "/debug/profile/stop":
-            status, reply = self.profile_stop()
-            return status, reply, {}
+            return self.profile_stop()
         if path.startswith("/debug/profile/"):
-            return 404, {"status": "rejected", "error": "not_found"}, {}
+            return _rejected(404, "not_found")
         kernel = path[len("/v1/"):]
         response = await self.handle(kernel, body)
         return response.http_status, response.body, response.headers
 
-    def _handle_get(
-        self, path: str, accept: Optional[str] = None
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    def _handle_get(self, path: str, accept: Optional[str] = None) -> _Reply:
         if path == "/healthz":
             status, body = self.healthz()
             return status, body, {}
@@ -681,11 +618,55 @@ class Gateway:
                     {"Content-Type": _OPENMETRICS_CONTENT_TYPE},
                 )
             return 200, self.telemetry.metrics_dict(), {}
-        return 404, {"status": "rejected", "error": "not_found"}, {}
+        return _rejected(404, "not_found")
+
+
+def _rejected(status: int, error: str, **extra: str) -> _Reply:
+    """An HTTP-level refusal: no kernel ran, so no envelope."""
+    return status, {"status": "rejected", "error": error, **extra}, {}
 
 
 class _BadHttp(Exception):
     """Malformed wire input; answered ``400 bad_http``."""
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Optional[str], bytes]]:
+    """(method, path, Accept, body); None for a body over ``_MAX_BODY``."""
+    parts = (await _read_line(reader)).split()
+    if len(parts) != 3:
+        raise _BadHttp("request line must be METHOD PATH VERSION")
+    method, path, _version = parts
+    content_length = 0
+    accept: Optional[str] = None
+    while True:
+        line = (await _read_line(reader)).strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        header = name.strip().lower()
+        value = value.strip()
+        if header == "content-length":
+            # isdecimal() on latin-1 text admits only ASCII digits.
+            if not value.isdecimal():
+                raise _BadHttp(
+                    "Content-Length must be a non-negative integer, "
+                    f"got {value!r}"
+                )
+            content_length = int(value)
+        elif header == "accept":
+            accept = value
+    if content_length > _MAX_BODY:
+        return None
+    try:
+        raw = await reader.readexactly(content_length)
+    except asyncio.IncompleteReadError as exc:
+        raise _BadHttp(
+            f"body ended after {len(exc.partial)} of "
+            f"{content_length} bytes"
+        ) from None
+    return method, path, accept, raw
 
 
 async def _read_line(reader: asyncio.StreamReader) -> str:
@@ -701,8 +682,9 @@ _REASONS = {
     400: "Bad Request",
     403: "Forbidden",
     404: "Not Found",
-    409: "Conflict",
     405: "Method Not Allowed",
+    408: "Request Timeout",
+    409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",

@@ -8,13 +8,11 @@ the gateway replays every intent without a matching ack (the requests
 that were accepted but died with the process) and answers duplicate
 submissions of an acked idempotency key with the original response.
 
-Torn-write discipline follows checkpoint v2
-(:mod:`repro.resilience.checkpoint`): appends are single JSONL lines so
-a crash mid-write corrupts at most the last record; recovery skips
-unparseable lines (counting them in ``torn_records``) rather than
-failing; :meth:`RequestJournal.compact` rewrites the live state through
-:func:`repro.utils.durable.atomic_write` so the swap is atomic and a
-crash mid-compaction leaves the old journal intact.
+The file is a :class:`repro.utils.durable.JsonlLog`, so a crash
+mid-append tears at most the last record and the next append never
+merges with it. Recovery skips every record it cannot use, counting it
+in ``torn_records``, and :meth:`RequestJournal.compact` rewrites the
+live state atomically.
 
 Disk trouble never reaches the request path: an ``OSError`` on append
 is swallowed into ``write_errors`` and the in-memory state still
@@ -26,13 +24,11 @@ between responding and journalling) hook sites.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from typing import Any, Dict, List, Optional, Set
 
 from repro.chaos import hooks
-from repro.utils.durable import atomic_write
+from repro.utils.durable import JsonlLog, encode
 
 JOURNAL_SCHEMA = "coruscant-journal/1"
 
@@ -63,47 +59,35 @@ class RequestJournal:
         self.torn_writes = 0
         self.suppressed_acks = 0
         self.torn_records = 0
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._recover()
-        self._fh = open(path, "a", encoding="utf-8")
+        self._log = JsonlLog(path)
+        # A torn append (crash or injected fault mid-write) loses its
+        # record; everything before it is intact.
+        for _lineno, record in self._log.read():
+            if not self._absorb(record):
+                self.torn_records += 1
+        self.torn_records += self._log.torn_tail
+        self._log.open()
 
     # -- recovery ------------------------------------------------------
 
-    def _recover(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn append (crash or injected fault mid-write).
-                    # The record is lost; everything before it is intact.
-                    self.torn_records += 1
-                    continue
-                if not isinstance(record, dict):
-                    self.torn_records += 1
-                    continue
-                self._absorb(record)
-
-    def _absorb(self, record: Dict[str, Any]) -> None:
+    def _absorb(self, record: Optional[Dict[str, Any]]) -> bool:
+        """Apply one recovered record; False when it is unusable."""
+        if (
+            record is None
+            or not isinstance(record.get("key"), str)
+            or not isinstance(record.get("body"), dict)
+        ):
+            return False
         kind = record.get("type")
-        key = record.get("key")
-        if not isinstance(key, str):
-            self.torn_records += 1
-            return
-        if kind == "intent":
-            self._intent(key, record)
-        elif kind == "ack":
+        if kind == "intent" and isinstance(record.get("kernel"), str):
+            self._intent(record["key"], record)
+        elif kind == "ack" and type(record.get("http_status")) is int:
             # Acks are authoritative even without a surviving intent
             # (the intent line may have been the torn one).
-            self._ack(key, record)
+            self._ack(record["key"], record)
         else:
-            self.torn_records += 1
+            return False
+        return True
 
     def _intent(self, key: str, record: Dict[str, Any]) -> None:
         self._intent_keys.add(key)
@@ -120,8 +104,7 @@ class RequestJournal:
 
     def _append(self, record: Dict[str, Any]) -> None:
         """Durably append one record; disk failure degrades, never raises."""
-        line = json.dumps(record, sort_keys=True)
-        payload = line + "\n"
+        line = encode(record)
         try:
             action = hooks.fire(
                 hooks.SITE_JOURNAL_APPEND,
@@ -133,14 +116,11 @@ class RequestJournal:
                 # the record. The trailing newline scopes the damage to
                 # exactly this record on recovery.
                 fraction = float(action.get("fraction", 0.5))
-                cut = max(1, int(len(line) * fraction))
-                payload = line[:cut] + "\n"
+                line = line[: max(1, int(len(line) * fraction))]
                 self.torn_writes += 1
-            self._fh.write(payload)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except (OSError, ValueError):
-            # ValueError: write on a handle an earlier failure closed.
+            self._log.write(line)
+            self._log.sync()
+        except OSError:
             self.write_errors += 1
 
     def record_intent(
@@ -187,12 +167,9 @@ class RequestJournal:
         """The acked response for ``key``: {"http_status", "body"} or None."""
         with self._lock:
             record = self._acks.get(key)
-            if record is None:
-                return None
-            return {
-                "http_status": record.get("http_status"),
-                "body": record.get("body"),
-            }
+        if record is None:
+            return None
+        return {"http_status": record["http_status"], "body": record["body"]}
 
     def has_intent(self, key: str) -> bool:
         with self._lock:
@@ -227,23 +204,14 @@ class RequestJournal:
         with self._lock:
             records = list(self._pending.values())
             records.extend(self._acks.values())
-            data = "".join(
-                json.dumps(record, sort_keys=True) + "\n"
-                for record in records
-            ).encode("utf-8")
             try:
-                if not self._fh.closed:
-                    self._fh.close()
-                atomic_write(self.path, data)
+                self._log.rewrite(records)
             except OSError:
                 self.write_errors += 1
-            finally:
-                self._fh = open(self.path, "a", encoding="utf-8")
 
     def close(self) -> None:
         with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+            self._log.close()
 
 
 __all__ = ["JOURNAL_SCHEMA", "RequestJournal"]

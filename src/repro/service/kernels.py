@@ -24,6 +24,7 @@ from repro.chaos import hooks as chaos_hooks
 from repro.core.isa import BLOCK_SIZES, Address, CpimInstruction, CpimOp
 from repro.service.protocol import BadRequest, KernelFault
 from repro.telemetry.context import TraceContext, use_context
+from repro.telemetry.profiler import tag_thread
 from repro.utils.deadline import Deadline
 
 _ORIGIN = Address(bank=0, subarray=0, tile=0, dbc=0, row=0)
@@ -324,25 +325,12 @@ RUNNERS: Dict[str, Callable[[Any, Dict[str, Any], Deadline], Dict]] = {
 }
 
 
-def run_kernel(
-    system,
-    kernel: str,
-    payload: Dict[str, Any],
-    deadline: Optional[Deadline] = None,
-) -> Dict:
-    """Dispatch one kernel by name (the in-process entry point)."""
-    runner = RUNNERS.get(kernel)
-    if runner is None:
-        raise BadRequest(f"unknown kernel {kernel!r}")
-    return runner(system, payload, deadline or Deadline.never())
-
-
 def run_traced(
     system,
     kernel: str,
     payload: Dict[str, Any],
     deadline: Deadline,
-    telemetry=None,
+    telemetry,
     context: Optional[TraceContext] = None,
     profile: Optional[str] = None,
 ) -> Dict:
@@ -362,24 +350,15 @@ def run_traced(
     runner = RUNNERS.get(kernel)
     if runner is None:
         raise BadRequest(f"unknown kernel {kernel!r}")
-    if profile is not None:
-        from repro.telemetry.profiler import tag_thread
-
-        with tag_thread(profile):
-            return run_traced(
-                system, kernel, payload, deadline, telemetry, context
-            )
-    if telemetry is None:
-        # Chaos: kernel-level latency/fault injection (worker thread —
-        # a blocking sleep here models the device going slow without
-        # touching the event loop). May raise KernelFault.
-        chaos_hooks.fire(chaos_hooks.SITE_KERNEL_EXECUTE, kernel=kernel)
-        return runner(system, payload, deadline)
-    with use_context(context):
+    with tag_thread(profile), use_context(context):
         with telemetry.tracer.span(
             "service.execute", category="service", kernel=kernel
         ) as span:
             try:
+                # Chaos: kernel-level latency/fault injection (worker
+                # thread — a blocking sleep here models the device
+                # going slow without touching the event loop). May
+                # raise KernelFault.
                 chaos_hooks.fire(
                     chaos_hooks.SITE_KERNEL_EXECUTE, kernel=kernel
                 )
@@ -390,4 +369,4 @@ def run_traced(
             return result
 
 
-__all__ = ["RUNNERS", "run_kernel", "run_traced"]
+__all__ = ["RUNNERS", "run_traced"]

@@ -28,7 +28,6 @@ Records are one JSON object per line::
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -36,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.chaos import hooks as chaos_hooks
 from repro.telemetry.context import current_context
+from repro.utils.durable import JsonlLog, encode
 
 EVENTS_SCHEMA = "coruscant-events/1"
 
@@ -80,7 +80,8 @@ class JsonlSink:
     When the active file would exceed ``max_bytes`` after a write, it is
     rotated: ``path`` -> ``path.1`` -> ... -> ``path.<backups>``, oldest
     dropped. Rotation is by whole records (a record is never split), so
-    every file in the set is independently valid JSONL.
+    every file in the set is independently valid JSONL. Each record is
+    flushed through a :class:`~repro.utils.durable.JsonlLog`.
     """
 
     enabled = True
@@ -99,46 +100,27 @@ class JsonlSink:
         self.max_bytes = max_bytes
         self.backups = backups
         self._lock = threading.Lock()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8")
+        self._log = JsonlLog(path).open()
 
     def emit(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = encode(record)
         with self._lock:
-            if self._fh.closed:
-                # A previous failed write/rotation closed the handle;
-                # try to come back rather than staying dead forever.
-                self._fh = open(self.path, "a", encoding="utf-8")
-            if self._fh.tell() + len(line) > self.max_bytes:
+            if self._log.tell() + len(line) + 1 > self.max_bytes:
                 self._rotate()
-            self._fh.write(line)
-            self._fh.flush()
+            self._log.write(line)
 
     def _rotate(self) -> None:
-        # Reopen in a finally: if any replace/remove step fails (disk
-        # full, permissions) the sink must still end up with a live
-        # handle so the *next* emit can proceed.
-        self._fh.close()
-        try:
-            if self.backups == 0:
-                open(self.path, "w", encoding="utf-8").close()
-            else:
-                oldest = f"{self.path}.{self.backups}"
-                if os.path.exists(oldest):
-                    os.remove(oldest)
-                for index in range(self.backups - 1, 0, -1):
-                    src = f"{self.path}.{index}"
-                    if os.path.exists(src):
-                        os.replace(src, f"{self.path}.{index + 1}")
-                os.replace(self.path, f"{self.path}.1")
-        finally:
-            self._fh = open(self.path, "a", encoding="utf-8")
+        self._log.close()
+        if self.backups == 0:
+            os.truncate(self.path, 0)
+        for index in range(self.backups, 0, -1):
+            src = f"{self.path}.{index - 1}" if index > 1 else self.path
+            if os.path.exists(src):
+                os.replace(src, f"{self.path}.{index}")
 
     def close(self) -> None:
         with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+            self._log.close()
 
 
 class EventLog:
@@ -214,9 +196,8 @@ class EventLog:
             chaos_hooks.fire(chaos_hooks.SITE_EVENTS_WRITE, event=event)
             self.sink.emit(record)
         except (OSError, ValueError):
-            # ValueError covers writes on a handle a prior failure
-            # closed. Either way: drop the record, count it, move on —
-            # the event log must never fail a request.
+            # Drop the record, count it, move on: the event log must
+            # never fail a request.
             with self._lock:
                 self.write_errors += 1
             if self.on_write_error is not None:

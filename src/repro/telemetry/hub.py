@@ -444,16 +444,12 @@ class TelemetryHub:
         if self.events.enabled:
             self.events.emit("journal.replayed", count=count)
 
-    def service_drained(self, completed: int, dropped: int) -> None:
+    def service_drained(self, completed: int) -> None:
         """Drain accounting at shutdown: everything admitted must land."""
         with self._lock:
-            m = self.metrics
-            m.counter("service.drain.completed").inc(completed)
-            m.counter("service.drain.dropped").inc(dropped)
+            self.metrics.counter("service.drain.completed").inc(completed)
         if self.events.enabled:
-            self.events.emit(
-                "service.drained", completed=completed, dropped=dropped
-            )
+            self.events.emit("service.drained", completed=completed)
 
     # ------------------------------------------------------------------
     # export

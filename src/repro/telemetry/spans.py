@@ -121,8 +121,9 @@ class Tracer:
     its children; each thread keeps its own stack and its own compact
     ``tid``. ``clock`` is injectable for deterministic tests.
     ``max_roots`` (for long-running services) bounds retained root
-    spans: the oldest roots are dropped once the limit is exceeded, so a
-    gateway's tracer cannot grow without bound.
+    spans, and instants to the same count: the oldest are dropped once
+    the limit is exceeded, so a gateway's tracer cannot grow without
+    bound.
     """
 
     enabled = True
@@ -179,7 +180,7 @@ class Tracer:
                 span.context = base.child()
         with self._lock:
             self.roots.append(span)
-            self._trim_roots()
+            self._trim(self.roots)
         return span
 
     def finish(self, span: Span, **attrs: Any) -> Span:
@@ -203,7 +204,9 @@ class Tracer:
         ambient = current_context()
         if ambient is not None:
             entry["trace_id"] = ambient.trace_id
-        self.instants.append(entry)
+        with self._lock:
+            self.instants.append(entry)
+            self._trim(self.instants)
 
     @property
     def active(self) -> Optional[Span]:
@@ -289,10 +292,10 @@ class Tracer:
             stacks = list(self._stacks.values())
         return any(span in stack for stack in stacks)
 
-    def _trim_roots(self) -> None:
-        """Drop the oldest roots past ``max_roots`` (caller holds lock)."""
-        if self.max_roots is not None and len(self.roots) > self.max_roots:
-            del self.roots[: len(self.roots) - self.max_roots]
+    def _trim(self, entries: List[Any]) -> None:
+        """Drop the oldest entries past ``max_roots`` (caller holds lock)."""
+        if self.max_roots is not None and len(entries) > self.max_roots:
+            del entries[: len(entries) - self.max_roots]
 
     def _enter(self, span: Span) -> None:
         stack, tid = self._thread_state()
@@ -309,7 +312,7 @@ class Tracer:
                 span.context = ambient.child()
             with self._lock:
                 self.roots.append(span)
-                self._trim_roots()
+                self._trim(self.roots)
         stack.append(span)
 
     def _exit(self, span: Span) -> None:

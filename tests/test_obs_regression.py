@@ -70,6 +70,11 @@ class TestLoadBaseline:
         path.write_text(json.dumps(_bench_doc(cycles=99)))
         assert load_baseline(str(path))["kernels"][0]["sim_cycles"] == 99
 
+    def test_bare_bench_document_over_many_lines(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(_bench_doc(cycles=99), indent=2))
+        assert load_baseline(str(path))["kernels"][0]["sim_cycles"] == 99
+
     def test_history_file_returns_newest_entry(self, tmp_path):
         history = BenchHistory(str(tmp_path / "h.jsonl"))
         history.append(_bench_doc(cycles=64))

@@ -224,6 +224,21 @@ class TestJournalRobustness:
         assert os.path.exists(journal + ".corrupt")
         assert report_bytes(result.report) == report_bytes(baseline.report)
 
+    def test_non_object_journal_is_quarantined(self, tmp_path):
+        # Valid JSON that is no checkpoint is as corrupt as torn JSON.
+        config = CampaignConfig(ops=40)
+        baseline = run_sharded_campaign(config, shards=2, workers=0)
+        journal_dir = tmp_path / "j"
+        journal_dir.mkdir()
+        journal = journal_path(str(journal_dir), 0)
+        with open(journal, "w", encoding="utf-8") as fh:
+            fh.write("[1, 2]")
+        result = run_sharded_campaign(
+            config, shards=2, workers=0, journal_dir=str(journal_dir)
+        )
+        assert os.path.exists(journal + ".corrupt")
+        assert report_bytes(result.report) == report_bytes(baseline.report)
+
     def test_stale_journal_of_other_campaign_fails_shard(self, tmp_path):
         # A journal from a different config is a configuration error:
         # the shard fails (and is retried / reported), never silently

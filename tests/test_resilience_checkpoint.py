@@ -72,6 +72,15 @@ class TestPrimitives:
         with pytest.raises(CheckpointError):
             ckpt.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "document", ["[1, 2]", '"text"', "null"], ids=["list", "str", "null"]
+    )
+    def test_non_object_document_rejected(self, tmp_path, document):
+        path = tmp_path / "ck.json"
+        path.write_text(document)
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            ckpt.load_checkpoint(str(path))
+
     def test_fingerprint_mismatch_raises(self):
         document = {"fingerprint": {"seed": 0}}
         ckpt.verify_fingerprint(document, {"seed": 0}, "ck.json")

@@ -720,6 +720,34 @@ class TestHttpErrors:
         )
         assert status == 413 and body["error"] == "payload_too_large"
 
+    def test_stalled_request_gets_408_and_cannot_block_drain(
+        self, monkeypatch
+    ):
+        from repro.service import gateway as gateway_module
+
+        monkeypatch.setattr(gateway_module, "_READ_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            gateway = Gateway(port=0, workers=1)
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port
+            )
+            # The client stops partway through a header line.
+            writer.write(b"POST /v1/add HTTP/1.1\r\nContent-Len")
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            await asyncio.wait_for(gateway.shutdown(), 5.0)
+            reply = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            return reply
+
+        head, _, content = asyncio.run(scenario()).partition(b"\r\n\r\n")
+        assert int(head.split(b" ", 2)[1]) == 408
+        assert json.loads(content) == {
+            "status": "rejected", "error": "request_timeout"
+        }
+
     def test_line_over_the_stream_limit(self):
         from repro.service.gateway import _BadHttp, _read_line
 

@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,117 @@ class TestJournalRecovery:
         assert journal.get_ack("orphan")["http_status"] == 200
         assert journal.pending() == []
         journal.close()
+
+
+def intent(key, kernel="add"):
+    return {"schema": JOURNAL_SCHEMA, "type": "intent", "key": key,
+            "kernel": kernel, "body": {"k": key}}
+
+
+def ack(key, status=200):
+    return {"schema": JOURNAL_SCHEMA, "type": "ack", "key": key,
+            "http_status": status, "body": {"status": "ok"}}
+
+
+class TestJournalTornTail:
+    """A crash that cuts the last append short, then a restart."""
+
+    # An unterminated final line: a whole record missing only its
+    # newline, and a record cut partway through.
+    TAILS = {
+        "parses": json.dumps(intent("c"), sort_keys=True),
+        "cut": json.dumps(intent("c"), sort_keys=True)[:40],
+    }
+
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_records_around_a_torn_tail_survive(self, tmp_path, tail):
+        journal = make(tmp_path)
+        journal.record_intent("a", "add", {"k": "a"})
+        journal.record_intent("b", "add", {"k": "b"})
+        journal.record_ack("a", 200, {"status": "ok"})
+        journal.close()
+        path = tmp_path / "journal.jsonl"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(self.TAILS[tail])
+
+        restarted = make(tmp_path)
+        assert restarted.torn_records == (0 if tail == "parses" else 1)
+        restarted.record_intent("d", "add", {"k": "d"})
+        restarted.close()
+
+        recovered = make(tmp_path)
+        expected = ["b", "c", "d"] if tail == "parses" else ["b", "d"]
+        assert [p["key"] for p in recovered.pending()] == expected
+        assert recovered.get_ack("a") is not None
+        assert recovered.torn_records == 0
+        recovered.close()
+        for line in path.read_text().splitlines():
+            assert isinstance(json.loads(line), dict)
+
+    def test_regression_intent_synced_after_restart_survives_next(
+        self, tmp_path
+    ):
+        # A crash tore the last record; the restarted gateway journals
+        # (and fsyncs) a new intent, then dies too. The next restart
+        # must still see that intent: it is not glued onto the torn
+        # line.
+        journal = make(tmp_path)
+        journal.record_intent("old", "add", {})
+        journal.close()
+        with open(tmp_path / "journal.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "coruscant-journal/1", "type": "ack"')
+
+        restarted = make(tmp_path)
+        restarted.record_intent("new", "multiply", {"payload": 1})
+        restarted.close()
+
+        recovered = make(tmp_path)
+        assert recovered.has_intent("new")
+        assert [p["key"] for p in recovered.pending()] == ["old", "new"]
+        recovered.close()
+
+
+class TestJournalMalformedRecords:
+    """Records that parse but cannot be used count as torn."""
+
+    CASES = {
+        "ack-status-null": [intent("k"), {**ack("k"), "http_status": None}],
+        "ack-status-text": [intent("k"), ack("k", status="200")],
+        "ack-body-not-object": [intent("k"), {**ack("k"), "body": [1]}],
+        "intent-body-not-object": [{**intent("k"), "body": "x"}],
+        "intent-kernel-not-string": [{**intent("k"), "kernel": 7}],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counted_in_torn_records(self, tmp_path, case):
+        path = tmp_path / "journal.jsonl"
+        records = self.CASES[case]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        journal = make(tmp_path)
+        assert journal.torn_records == 1
+        assert journal.get_ack("k") is None
+        if case.startswith("ack"):
+            # The ack is unusable, so its intent replays on restart.
+            assert [p["key"] for p in journal.pending()] == ["k"]
+        else:
+            assert not journal.has_intent("k")
+        journal.close()
+
+    def test_resubmit_after_a_bad_ack_runs_again(self, tmp_path):
+        from repro.service.client import ServiceClient
+        from repro.service.gateway import Gateway
+
+        path = tmp_path / "journal.jsonl"
+        bad_ack = {**ack("k"), "http_status": "200"}
+        path.write_text(json.dumps(bad_ack) + "\n")
+        gateway = Gateway(workers=1, journal=make(tmp_path))
+        with ServiceClient(gateway=gateway, rejection_retries=0) as client:
+            response = client.request(
+                "add", {"words": [4, 5], "n_bits": 8}, idempotency_key="k"
+            )
+        assert response.http_status == 200
+        assert response.body["result"]["sum"] == 9
+        assert "replayed" not in response.body
 
 
 class TestJournalFaults:

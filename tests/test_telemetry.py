@@ -123,6 +123,14 @@ class TestTracerNesting:
         assert instant["ts_us"] == pytest.approx(5.0)
         assert instant["attrs"] == {"attempt": 2}
 
+    def test_instants_bounded_like_roots(self):
+        tracer = Tracer(max_roots=4)
+        for attempt in range(10):
+            tracer.instant("resilience.retry", attempt=attempt)
+        assert [i["attrs"]["attempt"] for i in tracer.instants] == [
+            6, 7, 8, 9
+        ]
+
     def test_clear_refuses_with_open_spans(self):
         tracer = Tracer()
         span = tracer.span("open")

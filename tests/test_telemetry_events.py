@@ -4,6 +4,8 @@ import json
 import os
 import threading
 
+import pytest
+
 from repro.telemetry import (
     EVENTS_SCHEMA,
     EventLog,
@@ -117,3 +119,49 @@ class TestJsonlSink:
         log.close()
         assert os.path.getsize(path) <= 1024
         assert not [p for p in os.listdir(tmp_path) if ".jsonl." in p]
+
+
+class TestJsonlSinkTornTail:
+    """A process killed mid-record, then a new sink on the same file."""
+
+    TAILS = {
+        "parses": '{"event": "torn", "schema": "coruscant-events/1"}',
+        "cut": '{"event": "torn", "sch',
+    }
+
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    def test_records_around_a_torn_tail_survive(self, tmp_path, tail):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(JsonlSink(str(path)))
+        for name in ("a", "b"):
+            log.emit(name)
+        log.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(self.TAILS[tail])
+
+        log = EventLog(JsonlSink(str(path)))
+        for name in ("c", "d"):
+            log.emit(name)
+        log.close()
+        events = [
+            json.loads(line)["event"]
+            for line in path.read_text().splitlines()
+        ]
+        middle = ["torn"] if tail == "parses" else []
+        assert events == ["a", "b"] + middle + ["c", "d"]
+
+    def test_size_check_reads_the_handle_not_the_disk(
+        self, tmp_path, monkeypatch
+    ):
+        sink = JsonlSink(str(tmp_path / "events.jsonl"))
+        log = EventLog(sink)
+        stats = []
+        real_stat = os.stat
+        monkeypatch.setattr(
+            os, "stat", lambda *a, **k: stats.append(a) or real_stat(*a, **k)
+        )
+        for _ in range(20):
+            log.emit("service.retry", kernel="add")
+        monkeypatch.undo()
+        log.close()
+        assert stats == []

@@ -81,12 +81,12 @@ class TestServiceHooks:
         )
 
     def test_service_drained(self, hub):
-        hub.service_drained(completed=9, dropped=1)
+        hub.service_drained(completed=9)
         counters = hub.metrics_dict()["counters"]
         assert counters["service.drain.completed"] == 9
-        assert counters["service.drain.dropped"] == 1
+        assert "service.drain.dropped" not in counters
         (event,) = events_named(hub, "service.drained")
-        assert event["completed"] == 9 and event["dropped"] == 1
+        assert event["completed"] == 9 and "dropped" not in event
 
 
 class TestCampaignAndResilienceHooks:
