@@ -131,7 +131,9 @@ class MemoryController:
         hit = self._account_access(address, shifts, is_write=False)
         self.stats.reads += 1
         if self.telemetry is not None:
-            self.telemetry.memory_access(is_write=False, row_hit=hit)
+            self.telemetry.emit(
+                "mem.access", access="reads", row="hits" if hit else "misses"
+            )
         self._notify_op()
         return bits
 
@@ -143,7 +145,9 @@ class MemoryController:
         hit = self._account_access(address, shifts, is_write=True)
         self.stats.writes += 1
         if self.telemetry is not None:
-            self.telemetry.memory_access(is_write=True, row_hit=hit)
+            self.telemetry.emit(
+                "mem.access", access="writes", row="hits" if hit else "misses"
+            )
         self._notify_op()
 
     # ------------------------------------------------------------------
@@ -179,7 +183,10 @@ class MemoryController:
                 energy_pj=round(energy, 3),
                 transverse_reads=trs,
             )
-            hub.cpim_op(op_name, cycles, energy, trs)
+            hub.emit(
+                "cpim.op", op=op_name, cycles=cycles, energy_pj=energy,
+                trs=trs,
+            )
         self._notify_op()
         return result
 

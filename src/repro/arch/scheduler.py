@@ -159,9 +159,12 @@ class CommandScheduler:
             stats.queue_cycles += queue
             stats.total_cycles = max(stats.total_cycles, finish)
             if hub is not None:
-                hub.scheduler_request(queue)
+                hub.emit("sched.request", queue_cycles=queue)
         if hub is not None and stats.requests:
-            hub.scheduler_replay(stats.hit_rate, stats.queue_fraction)
+            hub.emit(
+                "sched.replay", hit_rate=stats.hit_rate,
+                queue_fraction=stats.queue_fraction,
+            )
         return stats
 
 

@@ -250,20 +250,23 @@ def _gate(
 
     from repro.obs import BenchHistory, RegressionDetector, load_baseline
 
-    if args.compare:
-        baseline = load_baseline(args.compare)
-        if baseline is None:
-            raise SystemExit(
-                f"--compare baseline {args.compare!r} does not exist"
+    try:
+        if args.compare:
+            baseline = load_baseline(args.compare)
+            if baseline is None:
+                raise SystemExit(
+                    f"--compare baseline {args.compare!r} does not exist"
+                )
+            baseline_source = args.compare
+        else:
+            baseline = (
+                BenchHistory(args.history).last()
+                if not args.no_history
+                else None
             )
-        baseline_source = args.compare
-    else:
-        baseline = (
-            BenchHistory(args.history).last()
-            if not args.no_history
-            else None
-        )
-        baseline_source = args.history if baseline is not None else None
+            baseline_source = args.history if baseline is not None else None
+    except ValueError as exc:  # a corrupt history line names path:line
+        raise SystemExit(str(exc)) from None
 
     code = EXIT_OK
     if baseline is not None:
@@ -290,9 +293,12 @@ def _gate(
             )
 
     if not args.no_history:
-        BenchHistory(args.history).append(
-            current, meta={"recorded_unix": int(time.time())}
-        )
+        try:
+            BenchHistory(args.history).append(
+                current, meta={"recorded_unix": int(time.time())}
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     if args.bench_out:
         _write_json(args.bench_out, current)
     return code
@@ -989,9 +995,12 @@ def _run_slo(args) -> int:
     )
 
     fmt = args.format or ("json" if args.json else "md")
-    documents = [
-        entry["bench"] for entry in BenchHistory(args.history).load()
-    ]
+    try:
+        documents = [
+            entry["bench"] for entry in BenchHistory(args.history).load()
+        ]
+    except ValueError as exc:  # a corrupt history line names path:line
+        raise SystemExit(str(exc)) from None
     report = evaluate_history(
         documents,
         burn_threshold=args.slo_burn_threshold,

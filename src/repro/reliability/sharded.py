@@ -330,7 +330,10 @@ class ShardSupervisor:
                 outcome.incomplete[shard] = last_reason[shard]
                 pending.discard(shard)
                 if self.telemetry is not None:
-                    self.telemetry.shard_incomplete(shard)
+                    self.telemetry.emit(
+                        "campaign.shard_incomplete", shard=shard,
+                        shard_id=shard,
+                    )
             if not runnable:
                 break
             if self.workers == 0:
@@ -359,8 +362,15 @@ class ShardSupervisor:
         outcome.attempts.append(
             ShardAttempt(shard, attempt, status, wall, error)
         )
-        if self.telemetry is not None:
-            self.telemetry.shard_attempt(shard, wall, status)
+        hub = self.telemetry
+        if hub is not None:
+            hub.emit(
+                "campaign.shard_attempt", shard=shard, shard_id=shard,
+                status=status, wall_seconds=wall,
+            )
+            # Every attempt that did not complete triggers a retry.
+            if status != "completed":
+                hub.emit("campaign.shard_retry")
 
     def _run_inline(self, runnable, outcome, attempts, last_reason, pending):
         for shard in runnable:

@@ -238,7 +238,10 @@ class AdaptiveProtection:
                 src=state.level.name,
                 dst=to.name,
             )
-            hub.breaker_transition(state.level.name, to.name)
+            hub.emit(
+                "breaker.transition", src=state.level.name, dst=to.name,
+                to=to.name.lower(),
+            )
         state.level = to
         state.errors.clear()
         state.clean_streak = 0

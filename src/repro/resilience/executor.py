@@ -194,7 +194,7 @@ class ResilientExecutor:
                     else "uncorrectable"
                 )
                 span.annotate(attempts=attempts, verdict=verdict)
-                hub.resilient_op(attempts, verdict)
+                hub.emit("resilience.op", attempts=attempts, verdict=verdict)
                 raise
             attempts = max(1, self.stats.attempts - before_attempts)
             escalated = (
@@ -208,7 +208,7 @@ class ResilientExecutor:
             else:
                 verdict = "clean"
             span.annotate(attempts=attempts, verdict=verdict)
-            hub.resilient_op(attempts, verdict)
+            hub.emit("resilience.op", attempts=attempts, verdict=verdict)
             return result
 
     def _execute_inner(

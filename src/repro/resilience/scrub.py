@@ -130,7 +130,10 @@ class ScrubEngine:
                 repaired=d_repaired,
                 cycles=d_cycles,
             )
-            hub.scrub_pass(d_checked, d_misaligned, d_repaired, d_cycles)
+            hub.emit(
+                "scrub.pass", dbcs_checked=d_checked, misaligned=d_misaligned,
+                repaired=d_repaired, cycles=d_cycles,
+            )
         return found
 
     def _run_pass_inner(self) -> List[Tuple[DBCKey, List[int]]]:

@@ -95,9 +95,16 @@ class RequestBreaker:
 
     def _transition(self, dst: str) -> None:
         src, self.state = self.state, dst
-        if self._telemetry is not None:
-            self._telemetry.service_breaker_transition(
-                self.profile, src, dst
+        hub = self._telemetry
+        if hub is not None:
+            # Pinned on the trace timeline as well as counted.
+            hub.tracer.instant(
+                "service.breaker.transition", category="service",
+                profile=self.profile, src=src, dst=dst,
+            )
+            hub.emit(
+                "service.breaker.transition", profile=self.profile, src=src,
+                dst=dst, to=dst.lower(),
             )
 
     def _open(self) -> None:

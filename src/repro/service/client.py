@@ -82,22 +82,16 @@ class ServiceClient:
             target=self._run_loop, name="service-client", daemon=True
         )
         self._thread.start()
+        # With a journal attached, this also replays what a previous
+        # process accepted but never acked, before the first request.
         asyncio.run_coroutine_threadsafe(
-            self._start_dispatchers(), self._loop
+            self.gateway.start_core(), self._loop
         ).result(timeout=30)
 
     def _run_loop(self) -> None:
         assert self._loop is not None
         asyncio.set_event_loop(self._loop)
         self._loop.run_forever()
-
-    async def _start_dispatchers(self) -> None:
-        for dispatcher in self.gateway.dispatchers.values():
-            dispatcher.start()
-        # Crash recovery: with a journal attached, re-submit whatever
-        # a previous process accepted but never acked — before the
-        # caller's first request, so replays win any idempotency race.
-        await self.gateway.replay_journal()
 
     def close(self) -> None:
         """Drain the gateway, then stop the background loop."""

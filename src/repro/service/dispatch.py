@@ -162,7 +162,7 @@ class ProfileDispatcher:
         self.queues.close()
         if self._tasks:
             await asyncio.gather(*self._tasks)
-        self.telemetry.service_drained(self.completed)
+        self.telemetry.emit("service.drained", completed=self.completed)
 
     # ------------------------------------------------------------------
     # admission
@@ -198,8 +198,9 @@ class ProfileDispatcher:
         except ServiceReject:
             self.breaker.release()
             raise
-        self.telemetry.service_admitted(
-            request.kernel, request.priority, trace_id=request.trace_id
+        self.telemetry.emit(
+            "service.admitted", trace_id=request.trace_id,
+            kernel=request.kernel, priority=request.priority,
         )
         return future
 
@@ -256,8 +257,9 @@ class ProfileDispatcher:
                 # supervisor restart would produce.
                 self.worker_crashes += 1
                 self.breaker.release()
-                self.telemetry.service_worker_crashed(
-                    self.profile.name, index, trace_id=job.request.trace_id
+                self.telemetry.emit(
+                    "service.worker.crashed", trace_id=job.request.trace_id,
+                    profile=self.profile.name, worker=index,
                 )
                 response = ServiceResponse(
                     500,
@@ -282,11 +284,12 @@ class ProfileDispatcher:
             self.completed += 1
             if not job.future.cancelled():
                 job.future.set_result(response)
-            self.telemetry.service_request(
-                job.kernel,
-                response.status,
-                self._clock() - job.admitted_at,
+            self.telemetry.emit(
+                "service.request",
                 trace_id=job.request.trace_id,
+                kernel=job.kernel,
+                status=response.status,
+                seconds=self._clock() - job.admitted_at,
             )
 
     async def _process(
@@ -297,8 +300,9 @@ class ProfileDispatcher:
     ) -> ServiceResponse:
         if request.deadline.expired:
             self.breaker.release()
-            self.telemetry.service_shed(
-                request.kernel, "queue", trace_id=request.trace_id
+            self.telemetry.emit(
+                "service.shed", trace_id=request.trace_id,
+                kernel=request.kernel, stage="queue",
             )
             return reject_response(
                 request,
@@ -393,8 +397,9 @@ class ProfileDispatcher:
                     {"index": index, "reason": "deadline_exceeded"}
                 )
                 results.append(None)
-                self.telemetry.service_shed(
-                    request.kernel, "batch", trace_id=request.trace_id
+                self.telemetry.emit(
+                    "service.shed", trace_id=request.trace_id,
+                    kernel=request.kernel, stage="batch",
                 )
                 continue
             outcome = await self._run_item(
@@ -489,8 +494,9 @@ class ProfileDispatcher:
             except KernelFault as exc:
                 fault = exc
             except BudgetExhaustedError as exc:
-                self.telemetry.service_shed(
-                    request.kernel, "execute", trace_id=request.trace_id
+                self.telemetry.emit(
+                    "service.shed", trace_id=request.trace_id,
+                    kernel=request.kernel, stage="execute",
                 )
                 return {
                     "kind": "expired", "message": str(exc),
@@ -505,8 +511,9 @@ class ProfileDispatcher:
                 }
             delay = self.retry.delay(purpose, attempt)
             if not request.deadline.allows(delay):
-                self.telemetry.service_shed(
-                    request.kernel, "backoff", trace_id=request.trace_id
+                self.telemetry.emit(
+                    "service.shed", trace_id=request.trace_id,
+                    kernel=request.kernel, stage="backoff",
                 )
                 return {
                     "kind": "expired",
@@ -523,8 +530,9 @@ class ProfileDispatcher:
                     "error": fault.verdict,
                 }
             )
-            self.telemetry.service_retry(
-                request.kernel, trace_id=request.trace_id
+            self.telemetry.emit(
+                "service.retry", trace_id=request.trace_id,
+                kernel=request.kernel,
             )
             if delay:
                 await asyncio.sleep(delay)

@@ -25,12 +25,16 @@ dispatchers. Endpoints:
   behind ``Gateway(enable_profiling=True)`` (the ``serve
   --enable-profiling`` flag); 403 otherwise.
 
+On start, a gateway with a journal replays the requests a previous
+process accepted but never answered, before it opens the listener.
+
 SIGTERM (and SIGINT) starts a graceful drain: the listener refuses new
 work with 503 ``draining``, every already-admitted request runs to its
-terminal response, then the process exits 0. Nothing admitted is ever
-dropped. A client that has not sent its whole request within
-``_READ_TIMEOUT_S`` is answered 408 ``request_timeout`` and closed, so
-a stalled connection cannot hold the drain open.
+terminal response, every open connection gets its answer, then the
+process exits 0. Nothing admitted is ever dropped. A client that has
+not sent its whole request within ``_READ_TIMEOUT_S`` is answered 408
+``request_timeout`` and closed, so a stalled connection cannot hold the
+drain open.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import json
 import signal
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.chaos import hooks as chaos_hooks
 from repro.service.admission import AdmissionPolicy
@@ -138,6 +142,7 @@ class Gateway:
         }
         self.draining = False
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set["asyncio.Task"] = set()
         self._drained = asyncio.Event()
         # Crash durability: WAL of accepted-request intents and their
         # terminal acks, plus the in-flight map that coalesces
@@ -157,9 +162,18 @@ class Gateway:
     # ------------------------------------------------------------------
     # lifecycle
 
-    async def start(self) -> None:
+    async def start_core(self) -> None:
+        """Start the dispatchers, then replay the journal's pending intents.
+
+        The replays finish before the first request is served, so they
+        win any idempotency race with a client re-sending the same key.
+        """
         for dispatcher in self.dispatchers.values():
             dispatcher.start()
+        await self.replay_journal()
+
+    async def start(self) -> None:
+        await self.start_core()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port
         )
@@ -186,6 +200,10 @@ class Gateway:
         )
         if self._server is not None:
             await self._server.wait_closed()
+        # Before Python 3.12 wait_closed() does not wait for open
+        # connections; each one ends within _READ_TIMEOUT_S.
+        if self._connections:
+            await asyncio.wait(set(self._connections))
         if self.journal is not None:
             self.journal.close()
         self._drained.set()
@@ -193,10 +211,10 @@ class Gateway:
     async def replay_journal(self) -> List[Dict[str, Any]]:
         """Re-submit every journalled intent that never got its ack.
 
-        Run at startup (after the dispatchers are up): these are the
-        requests a previous process accepted and then died with. Each
-        replays through the normal :meth:`handle` path under its
-        original idempotency key — so it re-executes, gets acked, and
+        Run by :meth:`start_core`, after the dispatchers are up: these
+        are the requests a previous process accepted and then died
+        with. Each replays through the normal :meth:`handle` path under
+        its original idempotency key — so it re-executes, gets acked, and
         future duplicates dedup against the new ack. Returns one
         ``{"key", "kernel", "http_status", "status"}`` record per
         replayed request, in original acceptance order.
@@ -217,7 +235,7 @@ class Gateway:
                 }
             )
         if replayed:
-            self.telemetry.journal_replayed(len(replayed))
+            self.telemetry.emit("journal.replayed", count=len(replayed))
         self.last_replay = replayed
         return replayed
 
@@ -276,14 +294,14 @@ class Gateway:
             ack = self.journal.get_ack(key)
             if ack is not None:
                 replay_body = {**ack["body"], "replayed": True}
-                self.telemetry.journal_dedup_hit()
+                self.telemetry.emit("journal.dedup_hit")
                 return ServiceResponse(ack["http_status"], replay_body)
             inflight = self._inflight.get(key)
             if inflight is not None:
                 # Concurrent duplicate: ride the first submission.
                 original = await asyncio.shield(inflight)
                 dedup_body = {**original.body, "replayed": True}
-                self.telemetry.journal_dedup_hit()
+                self.telemetry.emit("journal.dedup_hit")
                 return ServiceResponse(
                     original.http_status, dedup_body,
                     dict(original.headers),
@@ -340,8 +358,9 @@ class Gateway:
                 )
             future = dispatcher.submit(request)
         except ServiceReject as reject:
-            self.telemetry.service_rejected(
-                kernel, reject.error, trace_id=trace.trace_id
+            self.telemetry.emit(
+                "service.rejected", trace_id=trace.trace_id, kernel=kernel,
+                reason=reject.error,
             )
             response = reject_response(request, reject)
             self.telemetry.tracer.finish(span, status=response.status)
@@ -525,6 +544,9 @@ class Gateway:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         try:
             status, body, headers = await self._handle_http(reader)
         except _BadHttp as exc:

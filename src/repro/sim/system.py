@@ -168,7 +168,7 @@ class CoruscantSystem:
             cycles = dbc.stats.cycles - cycles_before
             energy = dbc.stats.energy_pj - energy_before
             span.annotate(cycles=cycles, energy_pj=round(energy, 3))
-            hub.pim_op(op, cycles, energy)
+            hub.emit("pim.op", op=op, cycles=cycles, energy_pj=energy)
 
     def execute(self, instruction, deadline=None):
         """Run a cpim instruction, resiliently when a policy is set.

@@ -38,13 +38,7 @@ from repro.telemetry.events import (
     MemorySink,
     NullSink,
 )
-from repro.telemetry.hub import (
-    OP_CYCLE_BUCKETS,
-    QUEUE_CYCLE_BUCKETS,
-    RETRY_DEPTH_BUCKETS,
-    TR_PER_OP_BUCKETS,
-    TelemetryHub,
-)
+from repro.telemetry.hub import KINDS, Kind, TelemetryHub
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -87,6 +81,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlSink",
+    "KINDS",
+    "Kind",
     "MemorySink",
     "MetricsRegistry",
     "NULL_SPAN",
@@ -94,13 +90,9 @@ __all__ = [
     "NullSink",
     "NullTracer",
     "OPENMETRICS_CONTENT_TYPE",
-    "OP_CYCLE_BUCKETS",
     "PROFILE_SCHEMA",
-    "QUEUE_CYCLE_BUCKETS",
-    "RETRY_DEPTH_BUCKETS",
     "SamplingProfiler",
     "Span",
-    "TR_PER_OP_BUCKETS",
     "TelemetryHub",
     "TraceContext",
     "Tracer",

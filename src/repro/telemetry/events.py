@@ -1,19 +1,19 @@
 """Structured JSONL event log (schema ``coruscant-events/1``).
 
 The metrics registry answers "how much"; the event log answers "what
-happened, in what order, on which request". Every TelemetryHub hook —
-``service_*`` admission/completion, campaign ``shard_*`` lifecycle,
-``resilient_op`` verdicts, breaker transitions — emits one structured
-record here, stamped with a monotonic sequence number, a wall-clock
-microsecond timestamp, and (when one is ambient or passed explicitly)
-the ``trace_id`` of the request it belongs to, so a grep over the log
-reconstructs one request's path through the service.
+happened, in what order, on which request". Every TelemetryHub emit of
+a kind with an event — service admission/completion, campaign shard
+lifecycle, resilience verdicts, breaker transitions — writes one
+structured record here, stamped with a monotonic sequence number, a
+wall-clock microsecond timestamp, and (when one is ambient or passed
+explicitly) the ``trace_id`` of the request it belongs to, so a grep
+over the log reconstructs one request's path through the service.
 
 Sinks, not the log, own persistence policy:
 
 * :class:`NullSink` — the default everywhere; records nothing and
   short-circuits record *construction*, so un-instrumented runs pay one
-  attribute read per hook.
+  attribute read per emit.
 * :class:`MemorySink` — bounded in-memory ring, for tests and the
   gateway's ``/events`` style introspection.
 * :class:`JsonlSink` — append-only JSONL file with size-based rotation

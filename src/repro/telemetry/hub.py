@@ -1,37 +1,40 @@
 """The telemetry hub: tracer + metrics registry + event log, shared stack-wide.
 
 A :class:`TelemetryHub` is what ``CoruscantSystem(telemetry=...)`` wires
-through the device, arch, core, and resilience layers. Each layer calls
-the narrow publishing helpers here (``memory_access``, ``cpim_op``,
-``pim_op``, ...) so instrument names and bucket edges stay consistent
-no matter who publishes.
+through the device, arch, core, resilience and service layers. Every
+layer publishes through one method, :meth:`TelemetryHub.emit`, naming a
+*kind* and passing that kind's fields::
+
+    hub.emit("pim.op", op="add", cycles=22, energy_pj=18.7)
+
+:data:`KINDS` is the one list of kinds. For each it gives the counters
+the kind adds to, the histograms it observes into, the gauges it sets
+and the event record it writes. Instrument names, bucket edges and event
+fields are written there and nowhere else.
 
 The device layer is too hot to publish into: a kernel makes hundreds of
 :meth:`DeviceStats.record <repro.device.stats.DeviceStats.record>`
 calls. The hub instead *watches* the stats of the clusters it is
 attached to (:meth:`TelemetryHub.watch`), and of those an activated
-scope adopts (:meth:`TelemetryHub.adopt`). Reading the registry —
-:meth:`MetricsRegistry.as_dict
-<repro.telemetry.metrics.MetricsRegistry.as_dict>`, which every export
-goes through — first folds into the ``device.*`` counters what each of
-them recorded since the previous read (:meth:`TelemetryHub.device_op`
-names those counters), so recording itself costs the hub nothing.
+scope adopts (:meth:`TelemetryHub.adopt`). Every registry read (every
+export goes through ``MetricsRegistry.as_dict``) first emits, as
+``device.op``, what each of them recorded since the previous read, and
+derives ``mem.row_buffer_hit_rate`` from the row hit and miss counters.
 
-Concurrency: the service/campaign/resilience hooks (``service_*``,
-``shard_*``, ``resilient_op``, breaker transitions) are called from the
-gateway event loop, worker threads, and the campaign supervisor at
-request/attempt frequency, so they serialize their metric updates under
-one hub lock and mirror themselves into the structured event log. The
-fold and the watch bookkeeping take the same lock, so two concurrent
-reads never fold one record twice. The per-kernel hooks
-(``memory_access``, ``cpim_op``, ``pim_op``, ...) run inside one
-simulator thread and stay lock-free.
+Concurrency: publishers run on the gateway event loop, on executor
+threads (a profile's workers share one hub) and in the campaign
+supervisor. So every emit updates its instruments under the hub lock,
+then writes its event outside it. The fold and the watch bookkeeping
+take the same (reentrant) lock, so two concurrent reads never fold one
+record twice.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional
+from functools import partial
+from string import Formatter
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.telemetry import runtime
 from repro.telemetry.chrome import chrome_trace, write_chrome_trace
@@ -39,16 +42,162 @@ from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Tracer
 
-# Fixed bucket edges (inclusive upper bounds) for the stack's histograms.
-TR_PER_OP_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-OP_CYCLE_BUCKETS = (8, 16, 32, 64, 128, 256, 512, 1024)
-RETRY_DEPTH_BUCKETS = (1, 2, 3, 4, 5, 8)
-QUEUE_CYCLE_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-SHARD_WALL_BUCKETS = (0.1, 0.25, 0.5, 1, 2, 5, 10, 30, 60, 120, 300, 600)
-REQUEST_SECONDS_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-    10, 30,
-)
+
+class Kind:
+    """What one :meth:`TelemetryHub.emit` of a kind updates and writes.
+
+    ``counters`` are (name template, the field whose value it adds, or
+    1); ``histograms`` are (name template, bucket edges, the field it
+    observes); ``gauges`` are (name, the field it is set to). A template
+    such as ``"pim.{op}.count"`` is filled from the emit's fields.
+    ``event`` names the event record and ``fields`` are the fields that
+    record carries, in order; a kind without an event only counts.
+    """
+
+    def __init__(
+        self,
+        counters: Tuple[Tuple[str, Union[str, int]], ...] = (),
+        histograms: Tuple[Tuple[str, Tuple[float, ...], str], ...] = (),
+        gauges: Tuple[Tuple[str, str], ...] = (),
+        event: Optional[str] = None,
+        fields: Tuple[str, ...] = (),
+    ) -> None:
+        self.counters = counters
+        self.histograms = histograms
+        self.gauges = gauges
+        self.event = event
+        self.fields = fields
+        templates = [t for t, _ in counters] + [t for t, _, _ in histograms]
+        #: The fields every emit of this kind takes: no more, no fewer.
+        self.needs = frozenset(
+            [name for t in templates for _, name, _, _ in Formatter().parse(t)
+             if name]
+            + [add for _, add in counters if add != 1]
+            + [field for _, _, field in histograms]
+            + [field for _, field in gauges]
+            + list(fields)
+        )
+
+
+#: Every kind the hub publishes, by name.
+KINDS: Dict[str, Kind] = {
+    # device layer: the fold of watched DeviceStats. The per-op cycle and
+    # energy counters feed the fidelity scoreboard's hotspot table.
+    "device.op": Kind(counters=(
+        ("device.ops", "count"), ("device.{op}.count", "count"),
+        ("device.{op}.cycles", "cycles"),
+        ("device.{op}.energy_pj", "energy_pj"),
+        ("device.cycles", "cycles"), ("device.energy_pj", "energy_pj"),
+    )),
+    # memory controller and bank scheduler
+    "mem.access": Kind(counters=(("mem.{access}", 1), ("mem.row_{row}", 1))),
+    "cpim.op": Kind(
+        counters=(("cpim.ops", 1), ("cpim.{op}.count", 1),
+                  ("cpim.cycles", "cycles"), ("cpim.energy_pj", "energy_pj")),
+        histograms=(
+            ("cpim.tr_per_op", (1, 2, 4, 8, 16, 32, 64, 128, 256), "trs"),
+            ("cpim.op_cycles", (8, 16, 32, 64, 128, 256, 512, 1024),
+             "cycles"),
+        ),
+    ),
+    "sched.request": Kind(
+        counters=(("sched.requests", 1),),
+        histograms=(("sched.queue_cycles",
+                     (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+                     "queue_cycles"),),
+    ),
+    "sched.replay": Kind(gauges=(("sched.row_hit_rate", "hit_rate"),
+                                 ("sched.queue_fraction", "queue_fraction"))),
+    # CoruscantSystem facade
+    "pim.op": Kind(counters=(("pim.ops", 1), ("pim.{op}.count", 1),
+                             ("pim.cycles", "cycles"),
+                             ("pim.energy_pj", "energy_pj"))),
+    # resilience layers
+    "resilience.op": Kind(
+        counters=(("resilience.ops", 1), ("resilience.verdict.{verdict}", 1)),
+        histograms=(("resilience.retry_depth", (1, 2, 3, 4, 5, 8),
+                     "attempts"),),
+        event="resilience.op", fields=("attempts", "verdict"),
+    ),
+    "scrub.pass": Kind(counters=(
+        ("scrub.passes", 1), ("scrub.dbcs_checked", "dbcs_checked"),
+        ("scrub.misaligned_dbcs", "misaligned"),
+        ("scrub.repaired_tracks", "repaired"), ("scrub.cycles", "cycles"),
+    )),
+    # ``to`` is ``dst`` in lower case, as the counter names spell it
+    "breaker.transition": Kind(
+        counters=(("breaker.transitions", 1), ("breaker.to_{to}", 1)),
+        event="breaker.transition", fields=("src", "dst"),
+    ),
+    # sharded campaign supervisor; the obs scoreboard gates shard balance
+    # on the wall-time histogram
+    "campaign.shard_attempt": Kind(
+        counters=(("campaign.shard_attempts", 1),
+                  ("campaign.shard_{status}", 1)),
+        histograms=(("campaign.shard_wall_seconds",
+                     (0.1, 0.25, 0.5, 1, 2, 5, 10, 30, 60, 120, 300, 600),
+                     "wall_seconds"),),
+        event="campaign.shard_attempt",
+        fields=("shard", "shard_id", "status", "wall_seconds"),
+    ),
+    "campaign.shard_retry": Kind(counters=(("campaign.shard_retries", 1),)),
+    "campaign.shard_incomplete": Kind(
+        counters=(("campaign.incomplete_shards", 1),),
+        event="campaign.shard_incomplete", fields=("shard", "shard_id"),
+    ),
+    # kernel gateway (repro.service)
+    "service.admitted": Kind(
+        counters=(("service.admitted", 1), ("service.admitted.{priority}", 1),
+                  ("service.{kernel}.admitted", 1)),
+        event="service.admitted", fields=("kernel", "priority"),
+    ),
+    # reason: queue_full, breaker_open, draining, ...
+    "service.rejected": Kind(
+        counters=(("service.rejected", 1), ("service.rejected.{reason}", 1)),
+        event="service.rejected", fields=("kernel", "reason"),
+    ),
+    # expired-deadline work dropped before or between executions
+    "service.shed": Kind(
+        counters=(("service.shed", 1), ("service.shed.{stage}", 1)),
+        event="service.shed", fields=("kernel", "stage"),
+    ),
+    "service.retry": Kind(
+        counters=(("service.retries", 1), ("service.{kernel}.retries", 1)),
+        event="service.retry", fields=("kernel",),
+    ),
+    # one served request's terminal status and end-to-end latency
+    "service.request": Kind(
+        counters=(("service.requests", 1), ("service.status.{status}", 1)),
+        histograms=tuple(
+            (name, (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+                    1, 2.5, 5, 10, 30), "seconds")
+            for name in ("service.request_seconds",
+                         "service.{kernel}.request_seconds")
+        ),
+        event="service.request.done", fields=("kernel", "status", "seconds"),
+    ),
+    "service.breaker.transition": Kind(
+        counters=(("service.breaker.transitions", 1),
+                  ("service.breaker.to_{to}", 1)),
+        event="service.breaker.transition", fields=("profile", "src", "dst"),
+    ),
+    # a worker died with a job in flight and was respawned
+    "service.worker.crashed": Kind(
+        counters=(("service.worker_crashes", 1),
+                  ("service.worker_crashes.{profile}", 1)),
+        event="service.worker.crashed", fields=("profile", "worker"),
+    ),
+    "journal.dedup_hit": Kind(counters=(("journal.dedup_hits", 1),)),
+    "journal.replayed": Kind(counters=(("journal.replays", "count"),),
+                             event="journal.replayed", fields=("count",)),
+    "service.drained": Kind(
+        counters=(("service.drain.completed", "completed"),),
+        event="service.drained", fields=("completed",),
+    ),
+    # A dropped event-log record is counted, not logged: an event about a
+    # failed write would go straight back to the failing sink.
+    "events.write_error": Kind(counters=(("events.write_errors", 1),)),
+}
 
 
 class _Watched:
@@ -64,7 +213,7 @@ class _Watched:
 
 
 class TelemetryHub:
-    """Tracer + metrics registry + event log + the publishing helpers."""
+    """Tracer + metrics registry + event log + the one publish path."""
 
     def __init__(
         self,
@@ -75,19 +224,49 @@ class TelemetryHub:
         self.tracer = Tracer() if tracer is None else tracer
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self.events = EventLog() if events is None else events
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         # Watched DeviceStats by id(); each entry keeps its stats alive.
         self._watched: Dict[int, _Watched] = {}
-        self.metrics.add_collector(self._fold)
-        # Dropped event-log records surface as a counter, not as an
-        # event (emitting an event about a failed emit would recurse
-        # straight back into the failing sink).
+        self.metrics.add_collector(self._collect)
         if getattr(self.events, "on_write_error", None) is None:
-            self.events.on_write_error = self._event_write_error
+            self.events.on_write_error = partial(
+                self.emit, "events.write_error"
+            )
 
-    def _event_write_error(self) -> None:
+    def emit(
+        self, kind: str, trace_id: Optional[str] = None, **fields: Any
+    ) -> None:
+        """Publish one ``kind`` (a :data:`KINDS` key) with its fields.
+
+        Updates the kind's instruments under the hub lock, then writes
+        its event record (``trace_id`` or the ambient trace) when the
+        event log is enabled. An unknown kind, or fields other than the
+        kind's, raise :class:`KeyError`.
+        """
+        spec = KINDS[kind]
+        if fields.keys() != spec.needs:
+            raise KeyError(
+                f"{kind} takes fields {sorted(spec.needs)}, "
+                f"got {sorted(fields)}"
+            )
+        m = self.metrics
         with self._lock:
-            self.metrics.counter("events.write_errors").inc()
+            for name, add in spec.counters:
+                if "{" in name:
+                    name = name.format_map(fields)
+                m.counter(name).inc(1 if add == 1 else fields[add])
+            for name, edges, field in spec.histograms:
+                if "{" in name:
+                    name = name.format_map(fields)
+                m.histogram(name, edges).observe(fields[field])
+            for name, field in spec.gauges:
+                m.gauge(name).set(fields[field])
+        if spec.event is not None and self.events.enabled:
+            self.events.emit(
+                spec.event,
+                trace_id=trace_id,
+                **{field: fields[field] for field in spec.fields},
+            )
 
     # ------------------------------------------------------------------
     # device layer
@@ -142,11 +321,16 @@ class TelemetryHub:
                     watched.stats.scope = None
                     del self._watched[key]
 
-    def _fold(self) -> None:
-        """The registry's collector: fold every watched stats."""
+    def _collect(self) -> None:
+        """The registry's collector: fold, then derive the hit rate."""
+        m = self.metrics
         with self._lock:
             for watched in self._watched.values():
                 self._fold_one(watched)
+            if "mem.row_hits" in m or "mem.row_misses" in m:
+                hits = m.counter("mem.row_hits").value
+                total = hits + m.counter("mem.row_misses").value
+                m.gauge("mem.row_buffer_hit_rate").set(hits / total)
 
     def _fold_one(self, watched: _Watched) -> None:
         # Caller holds the lock. The dict() copies are atomic under the
@@ -167,289 +351,12 @@ class TelemetryHub:
             dc = c - seen_cycles.get(op, 0)
             de = e - seen_energy.get(op, 0.0)
             if dn or dc or de or op not in seen_counts:
-                self.device_op(op, dc, de, dn)
+                self.emit(
+                    "device.op", op=op, count=dn, cycles=dc, energy_pj=de
+                )
                 seen_counts[op] = n
                 seen_cycles[op] = c
                 seen_energy[op] = e
-
-    def device_op(
-        self, op: str, cycles: int, energy_pj: float, count: int = 1
-    ) -> None:
-        """``count`` occurrences of device op ``op``, with their totals.
-
-        The fold publishes each watched stats' activity since the last
-        read through here: totals plus per-op breakdowns. The per-op
-        cycle and energy counters are what the observability layer's
-        hotspot table (:func:`repro.obs.fidelity.extract_hotspots`)
-        attributes costs from.
-        """
-        m = self.metrics
-        m.counter("device.ops").inc(count)
-        m.counter(f"device.{op}.count").inc(count)
-        m.counter(f"device.{op}.cycles").inc(cycles)
-        m.counter(f"device.{op}.energy_pj").inc(energy_pj)
-        m.counter("device.cycles").inc(cycles)
-        m.counter("device.energy_pj").inc(energy_pj)
-
-    # ------------------------------------------------------------------
-    # memory controller / scheduler
-
-    def memory_access(self, is_write: bool, row_hit: bool) -> None:
-        m = self.metrics
-        m.counter("mem.writes" if is_write else "mem.reads").inc()
-        m.counter("mem.row_hits" if row_hit else "mem.row_misses").inc()
-        hits = m.counter("mem.row_hits").value
-        total = hits + m.counter("mem.row_misses").value
-        m.gauge("mem.row_buffer_hit_rate").set(hits / total if total else 0.0)
-
-    def cpim_op(
-        self, op: str, cycles: int, energy_pj: float, trs: int
-    ) -> None:
-        m = self.metrics
-        m.counter("cpim.ops").inc()
-        m.counter(f"cpim.{op}.count").inc()
-        m.counter("cpim.cycles").inc(cycles)
-        m.counter("cpim.energy_pj").inc(energy_pj)
-        m.histogram("cpim.tr_per_op", TR_PER_OP_BUCKETS).observe(trs)
-        m.histogram("cpim.op_cycles", OP_CYCLE_BUCKETS).observe(cycles)
-
-    def scheduler_request(self, queue_cycles: int) -> None:
-        self.metrics.counter("sched.requests").inc()
-        self.metrics.histogram(
-            "sched.queue_cycles", QUEUE_CYCLE_BUCKETS
-        ).observe(queue_cycles)
-
-    def scheduler_replay(
-        self, hit_rate: float, queue_fraction: float
-    ) -> None:
-        self.metrics.gauge("sched.row_hit_rate").set(hit_rate)
-        self.metrics.gauge("sched.queue_fraction").set(queue_fraction)
-
-    # ------------------------------------------------------------------
-    # facade (pim.*) operations
-
-    def pim_op(self, op: str, cycles: int, energy_pj: float) -> None:
-        m = self.metrics
-        m.counter("pim.ops").inc()
-        m.counter(f"pim.{op}.count").inc()
-        m.counter("pim.cycles").inc(cycles)
-        m.counter("pim.energy_pj").inc(energy_pj)
-
-    # ------------------------------------------------------------------
-    # resilience layers
-
-    def resilient_op(self, attempts: int, verdict: str) -> None:
-        with self._lock:
-            m = self.metrics
-            m.counter("resilience.ops").inc()
-            m.counter(f"resilience.verdict.{verdict}").inc()
-            m.histogram(
-                "resilience.retry_depth", RETRY_DEPTH_BUCKETS
-            ).observe(attempts)
-        if self.events.enabled:
-            self.events.emit(
-                "resilience.op", attempts=attempts, verdict=verdict
-            )
-
-    def scrub_pass(
-        self, dbcs_checked: int, misaligned: int, repaired: int, cycles: int
-    ) -> None:
-        m = self.metrics
-        m.counter("scrub.passes").inc()
-        m.counter("scrub.dbcs_checked").inc(dbcs_checked)
-        m.counter("scrub.misaligned_dbcs").inc(misaligned)
-        m.counter("scrub.repaired_tracks").inc(repaired)
-        m.counter("scrub.cycles").inc(cycles)
-
-    def breaker_transition(self, src: str, dst: str) -> None:
-        with self._lock:
-            self.metrics.counter("breaker.transitions").inc()
-            self.metrics.counter(f"breaker.to_{dst.lower()}").inc()
-        if self.events.enabled:
-            self.events.emit("breaker.transition", src=src, dst=dst)
-
-    # ------------------------------------------------------------------
-    # sharded campaign supervisor
-
-    def shard_attempt(
-        self, shard: int, wall_seconds: float, status: str
-    ) -> None:
-        """One shard-worker attempt's outcome, published by the supervisor.
-
-        ``status`` is one of ``completed`` / ``timeout`` / ``crashed`` /
-        ``failed``; every non-``completed`` attempt also counts as a
-        retry trigger. The wall-time histogram is what the obs
-        scoreboard gates shard balance on.
-        """
-        with self._lock:
-            m = self.metrics
-            m.counter("campaign.shard_attempts").inc()
-            m.counter(f"campaign.shard_{status}").inc()
-            m.histogram(
-                "campaign.shard_wall_seconds", SHARD_WALL_BUCKETS
-            ).observe(wall_seconds)
-            if status != "completed":
-                m.counter("campaign.shard_retries").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "campaign.shard_attempt",
-                shard=shard,
-                shard_id=shard,
-                status=status,
-                wall_seconds=wall_seconds,
-            )
-
-    def shard_incomplete(self, shard: int) -> None:
-        """A shard exhausted its retries; the report degrades gracefully."""
-        with self._lock:
-            self.metrics.counter("campaign.incomplete_shards").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "campaign.shard_incomplete", shard=shard, shard_id=shard
-            )
-
-    # ------------------------------------------------------------------
-    # kernel gateway (repro.service)
-
-    def service_admitted(
-        self, kernel: str, priority: str, trace_id: Optional[str] = None
-    ) -> None:
-        with self._lock:
-            m = self.metrics
-            m.counter("service.admitted").inc()
-            m.counter(f"service.admitted.{priority}").inc()
-            m.counter(f"service.{kernel}.admitted").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.admitted",
-                trace_id=trace_id,
-                kernel=kernel,
-                priority=priority,
-            )
-
-    def service_rejected(
-        self, kernel: str, reason: str, trace_id: Optional[str] = None
-    ) -> None:
-        """An admission refusal: queue_full, breaker_open, or draining."""
-        with self._lock:
-            m = self.metrics
-            m.counter("service.rejected").inc()
-            m.counter(f"service.rejected.{reason}").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.rejected",
-                trace_id=trace_id,
-                kernel=kernel,
-                reason=reason,
-            )
-
-    def service_shed(
-        self, kernel: str, stage: str, trace_id: Optional[str] = None
-    ) -> None:
-        """Expired-deadline work dropped before (or between) executions."""
-        with self._lock:
-            m = self.metrics
-            m.counter("service.shed").inc()
-            m.counter(f"service.shed.{stage}").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.shed", trace_id=trace_id, kernel=kernel, stage=stage
-            )
-
-    def service_retry(
-        self, kernel: str, trace_id: Optional[str] = None
-    ) -> None:
-        with self._lock:
-            self.metrics.counter("service.retries").inc()
-            self.metrics.counter(f"service.{kernel}.retries").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.retry", trace_id=trace_id, kernel=kernel
-            )
-
-    def service_request(
-        self,
-        kernel: str,
-        status: str,
-        seconds: float,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        """One served request's terminal status and end-to-end latency."""
-        with self._lock:
-            m = self.metrics
-            m.counter("service.requests").inc()
-            m.counter(f"service.status.{status}").inc()
-            m.histogram(
-                "service.request_seconds", REQUEST_SECONDS_BUCKETS
-            ).observe(seconds)
-            m.histogram(
-                f"service.{kernel}.request_seconds", REQUEST_SECONDS_BUCKETS
-            ).observe(seconds)
-        if self.events.enabled:
-            self.events.emit(
-                "service.request.done",
-                trace_id=trace_id,
-                kernel=kernel,
-                status=status,
-                seconds=seconds,
-            )
-
-    def service_breaker_transition(
-        self, profile: str, src: str, dst: str
-    ) -> None:
-        with self._lock:
-            m = self.metrics
-            m.counter("service.breaker.transitions").inc()
-            m.counter(f"service.breaker.to_{dst.lower()}").inc()
-        self.tracer.instant(
-            "service.breaker.transition",
-            category="service",
-            profile=profile,
-            src=src,
-            dst=dst,
-        )
-        if self.events.enabled:
-            self.events.emit(
-                "service.breaker.transition",
-                profile=profile,
-                src=src,
-                dst=dst,
-            )
-
-    def service_worker_crashed(
-        self, profile: str, worker: int, trace_id: Optional[str] = None
-    ) -> None:
-        """A worker died with a job in flight and was respawned."""
-        with self._lock:
-            m = self.metrics
-            m.counter("service.worker_crashes").inc()
-            m.counter(f"service.worker_crashes.{profile}").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.worker.crashed",
-                trace_id=trace_id,
-                profile=profile,
-                worker=worker,
-            )
-
-    def journal_dedup_hit(self) -> None:
-        """A duplicate idempotency key answered from the journal."""
-        with self._lock:
-            self.metrics.counter("journal.dedup_hits").inc()
-
-    def journal_replayed(self, count: int) -> None:
-        """Un-acked intents re-submitted after a restart."""
-        with self._lock:
-            self.metrics.counter("journal.replays").inc(count)
-        if self.events.enabled:
-            self.events.emit("journal.replayed", count=count)
-
-    def service_drained(self, completed: int) -> None:
-        """Drain accounting at shutdown: everything admitted must land."""
-        with self._lock:
-            self.metrics.counter("service.drain.completed").inc(completed)
-        if self.events.enabled:
-            self.events.emit("service.drained", completed=completed)
 
     # ------------------------------------------------------------------
     # export
@@ -465,12 +372,4 @@ class TelemetryHub:
         return write_chrome_trace(self.tracer, path)
 
 
-__all__ = [
-    "OP_CYCLE_BUCKETS",
-    "QUEUE_CYCLE_BUCKETS",
-    "REQUEST_SECONDS_BUCKETS",
-    "RETRY_DEPTH_BUCKETS",
-    "SHARD_WALL_BUCKETS",
-    "TR_PER_OP_BUCKETS",
-    "TelemetryHub",
-]
+__all__ = ["KINDS", "Kind", "TelemetryHub"]

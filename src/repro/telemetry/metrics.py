@@ -241,5 +241,13 @@ class MetricsRegistry:
             len(self._counters) + len(self._gauges) + len(self._histograms)
         )
 
+    def __contains__(self, name: str) -> bool:
+        """Whether an instrument of any type is registered as ``name``."""
+        return (
+            name in self._counters
+            or name in self._gauges
+            or name in self._histograms
+        )
+
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]

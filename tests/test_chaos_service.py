@@ -296,7 +296,9 @@ class TestEventLogHardening:
         hub = TelemetryHub(
             tracer=Tracer(), events=EventLog(BrokenSink())
         )
-        hub.service_admitted("add", "interactive")
+        hub.emit(
+            "service.admitted", kernel="add", priority="interactive"
+        )
         counters = hub.metrics.as_dict()["counters"]
         assert counters["events.write_errors"] == 1
 
@@ -308,6 +310,7 @@ class TestEventLogHardening:
         # A closed handle (failed rotation, prior error) comes back on
         # the next emit instead of poisoning the log forever.
         assert log.emit("after") is not None
+        log.close()
         assert log.write_errors == 0
         lines = (tmp_path / "events.jsonl").read_text().splitlines()
         assert len(lines) == 2

@@ -518,6 +518,31 @@ class TestBenchCommand:
                 main(argv)
 
 
+class TestCorruptHistory:
+    """A history line that is not a JSON object is a one-line error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--repeats", "1", "--history", "H"],
+        ["bench", "--repeats", "1", "--no-history", "--compare", "H"],
+        ["slo", "--history", "H"],
+    ], ids=["bench-history", "bench-compare", "slo-history"])
+    def test_exits_1_with_one_stderr_line(self, tmp_path, argv):
+        history = tmp_path / "H"
+        envelope = {"schema": "coruscant-bench-history/1", "seq": 1,
+                    "bench": {"kernels": []}}
+        history.write_text(json.dumps(envelope) + "\n[1, 2]\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "H:2: corrupt history line: not a JSON object"
+        ]
+
+
 class TestJsonExitStatus:
     def test_experiment_json_carries_exit_status(self, capsys):
         assert main(["table1", "--json"]) == 0

@@ -669,6 +669,53 @@ class TestMetricsReadFromOwners:
         self.run(scenario())
 
 
+class TestStartReplay:
+    def test_run_gateway_replays_the_journal_before_serving(self, tmp_path):
+        from repro.service.gateway import run_gateway
+        from repro.service.journal import RequestJournal
+
+        path = str(tmp_path / "journal.jsonl")
+        body = {
+            "payload": {"words": [20, 22], "n_bits": 8},
+            "idempotency_key": "k1",
+        }
+        crashed = RequestJournal(path)  # accepted, then the process died
+        crashed.record_intent("k1", "add", body)
+        crashed.close()
+        journal = RequestJournal(path)
+        gateway = Gateway(port=0, workers=1, journal=journal)
+        at_listen = {}
+
+        def announce(_host, _port):
+            at_listen["replay"] = list(gateway.last_replay)
+            at_listen["counts"] = journal.counts()
+            at_listen["listening"].set()
+
+        async def scenario():
+            at_listen["listening"] = asyncio.Event()
+            served = asyncio.ensure_future(run_gateway(gateway, announce))
+            await asyncio.wait_for(at_listen["listening"].wait(), 30)
+            status, reply, _ = await TestHttpServer().http(
+                gateway.port, "POST", "/v1/add", body
+            )
+            await gateway.shutdown()
+            return status, reply, await served
+
+        status, reply, code = asyncio.run(scenario())
+        assert at_listen["replay"] == [
+            {"key": "k1", "kernel": "add", "http_status": 200,
+             "status": "ok"}
+        ]
+        assert at_listen["counts"]["pending"] == 0
+        # The first connection gets the replayed request's ack.
+        assert status == 200 and reply["replayed"] is True
+        assert reply["result"]["sum"] == 42
+        assert code == 0
+        restarted = RequestJournal(path)
+        assert restarted.counts()["pending"] == 0
+        restarted.close()
+
+
 class TestHttpErrors:
     """Malformed wire input is a 400; a fault in a handler is a 500."""
 
@@ -747,6 +794,33 @@ class TestHttpErrors:
         assert json.loads(content) == {
             "status": "rejected", "error": "request_timeout"
         }
+
+    def test_drain_waits_for_open_connections(self, monkeypatch):
+        from repro.service import gateway as gateway_module
+
+        monkeypatch.setattr(gateway_module, "_READ_TIMEOUT_S", 0.5)
+
+        async def scenario():
+            gateway = Gateway(port=0, workers=1)
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port
+            )
+            writer.write(b"POST /v1/add HTTP/1.1\r\nContent-Len")
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            await asyncio.wait_for(gateway.shutdown(), 5.0)
+            # No connection task outlives the drain: asyncio.run would
+            # cancel it, and the client would get no answer.
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            # The answer was written before shutdown() returned.
+            reply = await asyncio.wait_for(reader.read(), 0.2)
+            writer.close()
+            return reply
+
+        head, _, content = asyncio.run(scenario()).partition(b"\r\n\r\n")
+        assert int(head.split(b" ", 2)[1]) == 408
+        assert json.loads(content)["error"] == "request_timeout"
 
     def test_line_over_the_stream_limit(self):
         from repro.service.gateway import _BadHttp, _read_line

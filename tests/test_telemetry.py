@@ -363,7 +363,7 @@ class TestChromeTrace:
 class TestTelemetryHub:
     def test_device_op_counters(self):
         hub = TelemetryHub()
-        hub.device_op("shift", cycles=3, energy_pj=0.6, count=3)
+        hub.emit("device.op", op="shift", cycles=3, energy_pj=0.6, count=3)
         counters = hub.metrics_dict()["counters"]
         assert counters["device.ops"] == 3
         assert counters["device.shift.count"] == 3
@@ -372,8 +372,8 @@ class TestTelemetryHub:
 
     def test_memory_access_hit_rate_gauge(self):
         hub = TelemetryHub()
-        hub.memory_access(is_write=False, row_hit=True)
-        hub.memory_access(is_write=True, row_hit=False)
+        hub.emit("mem.access", access="reads", row="hits")
+        hub.emit("mem.access", access="writes", row="misses")
         snapshot = hub.metrics_dict()
         assert snapshot["counters"]["mem.reads"] == 1
         assert snapshot["counters"]["mem.writes"] == 1
@@ -381,8 +381,8 @@ class TestTelemetryHub:
 
     def test_resilient_op_retry_depth_histogram(self):
         hub = TelemetryHub()
-        hub.resilient_op(1, "clean")
-        hub.resilient_op(3, "retried")
+        hub.emit("resilience.op", attempts=1, verdict="clean")
+        hub.emit("resilience.op", attempts=3, verdict="retried")
         snapshot = hub.metrics_dict()
         assert snapshot["counters"]["resilience.verdict.clean"] == 1
         assert snapshot["counters"]["resilience.verdict.retried"] == 1
@@ -403,8 +403,11 @@ class TestTelemetryHub:
 
     def test_device_op_per_op_cycles_and_energy(self):
         hub = TelemetryHub()
-        hub.device_op("shift", cycles=3, energy_pj=0.6, count=3)
-        hub.device_op("transverse_read", cycles=2, energy_pj=0.1)
+        hub.emit("device.op", op="shift", cycles=3, energy_pj=0.6, count=3)
+        hub.emit(
+            "device.op", op="transverse_read", cycles=2, energy_pj=0.1,
+            count=1,
+        )
         counters = hub.metrics_dict()["counters"]
         assert counters["device.shift.cycles"] == 3
         assert counters["device.shift.energy_pj"] == pytest.approx(0.6)

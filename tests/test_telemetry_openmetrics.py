@@ -9,7 +9,7 @@ from repro.telemetry import (
     negotiates_openmetrics,
     render_openmetrics,
 )
-from repro.telemetry.hub import REQUEST_SECONDS_BUCKETS
+from repro.telemetry.hub import KINDS
 
 
 def lines_of(registry):
@@ -40,7 +40,9 @@ class TestRendering:
 
     def test_unit_lines_follow_type_for_seconds_families(self):
         hub = TelemetryHub()
-        hub.service_request("add", "ok", 0.002)
+        hub.emit(
+            "service.request", kernel="add", status="ok", seconds=0.002
+        )
         lines = lines_of(hub.metrics)
         fam = "coruscant_service_request_seconds"
         type_index = lines.index(f"# TYPE {fam} histogram")
@@ -90,12 +92,14 @@ class TestRendering:
 
     def test_dynamic_segments_become_labels(self):
         hub = TelemetryHub()
-        hub.service_admitted("multiply", "batch")
-        hub.service_rejected("add", "queue_full")
-        hub.service_shed("add", "queue")
-        hub.service_request("multiply", "ok", 0.002)
+        hub.emit("service.admitted", kernel="multiply", priority="batch")
+        hub.emit("service.rejected", kernel="add", reason="queue_full")
+        hub.emit("service.shed", kernel="add", stage="queue")
+        hub.emit(
+            "service.request", kernel="multiply", status="ok", seconds=0.002
+        )
         hub.metrics.gauge("service.queue_depth.storm.add").set(5)
-        hub.resilient_op(2, "recovered")
+        hub.emit("resilience.op", attempts=2, verdict="recovered")
         lines = lines_of(hub.metrics)
         assert 'coruscant_service_admitted_total{priority="batch"} 1' in lines
         assert 'coruscant_service_kernel_admitted_total{kernel="multiply"} 1' in lines
@@ -110,8 +114,12 @@ class TestRendering:
 
     def test_per_kernel_latency_merges_into_one_family(self):
         hub = TelemetryHub()
-        hub.service_request("add", "ok", 0.002)
-        hub.service_request("multiply", "ok", 0.004)
+        hub.emit(
+            "service.request", kernel="add", status="ok", seconds=0.002
+        )
+        hub.emit(
+            "service.request", kernel="multiply", status="ok", seconds=0.004
+        )
         lines = lines_of(hub.metrics)
         fam = "coruscant_service_request_seconds"
         # One TYPE header covers the bare aggregate and both kernels.
@@ -121,13 +129,16 @@ class TestRendering:
         assert f'{fam}_bucket{{le="+Inf"}} 2' in lines
         assert f"{fam}_count 2" in lines
         # Bucket edges render as floats per the exposition grammar.
-        edge = REQUEST_SECONDS_BUCKETS[0]
+        _name, edges, _field = KINDS["service.request"].histograms[0]
+        edge = edges[0]
         assert f'{fam}_bucket{{le="{edge}"}} 0' in lines
 
     def test_families_are_sorted_and_unique(self):
         hub = TelemetryHub()
-        hub.service_admitted("add", "interactive")
-        hub.device_op("shift", 4, 0.6)
+        hub.emit("service.admitted", kernel="add", priority="interactive")
+        hub.emit(
+            "device.op", op="shift", cycles=4, energy_pj=0.6, count=1
+        )
         text = render_openmetrics(hub.metrics)
         type_lines = [
             line for line in text.splitlines() if line.startswith("# TYPE")
