@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos import hooks
 from repro.chaos.faults import (
@@ -126,9 +126,7 @@ def _storm(breaker) -> None:
         breaker.record(True)
 
 
-def _build_stack(
-    seed: int, journal_path: str
-) -> tuple:
+def _build_stack(seed: int, journal: RequestJournal) -> tuple:
     hub = TelemetryHub(
         tracer=Tracer(max_roots=8192),
         events=EventLog(MemorySink(capacity=65536)),
@@ -150,24 +148,12 @@ def _build_stack(
             attempts=2, base=1e-4, cap=1e-3, jitter=0.5, seed=seed
         ),
         default_budget_s=30.0,
-        journal=RequestJournal(journal_path),
+        journal=journal,
     )
     # rejection_retries=0: injected 429s must surface in the op record,
     # not be quietly absorbed by the client's good citizenship.
     client = ServiceClient(gateway=gateway, rejection_retries=0)
     return hub, gateway, client
-
-
-def _request_body(
-    schedule_entry, key: str
-) -> Dict[str, Any]:
-    return {
-        "payload": schedule_entry.payload,
-        "priority": schedule_entry.priority,
-        "profile": "default",
-        "budget_s": 30.0,
-        "idempotency_key": key,
-    }
 
 
 def run_campaign(
@@ -194,30 +180,38 @@ def run_campaign(
     injector = ChaosInjector(timeline)
 
     # ----------------------------------------------------------- phase 1
-    hub_a, gateway_a, client_a = _build_stack(seed, journal_path)
+    hub_a, gateway_a, client_a = _build_stack(
+        seed, RequestJournal(journal_path)
+    )
     ops: List[Dict[str, Any]] = []
     acked_in_memory: Dict[str, str] = {}
     storms_fired = 0
-    keys: List[str] = []
+    # The requests phase 3 may resubmit: key -> (kernel, request).
+    sent: Dict[str, Tuple[str, Dict[str, Any]]] = {}
+
+    def send(key: str, kernel: str, **request: Any):
+        sent[key] = (kernel, request)
+        response = client_a.request(kernel, idempotency_key=key, **request)
+        if gateway_a.journal.get_ack(key) is not None:
+            acked_in_memory[key] = response_digest(response.body)
+        return response
+
     hooks.activate(injector)
     try:
         client_a.start()
         for entry in schedule:
-            campaign_events = injector.advance(entry.index)
-            for event in campaign_events:
+            for event in injector.advance(entry.index):
                 if event.kind == "breaker-storm":
                     storms_fired += 1
                     _storm(
                         gateway_a.dispatchers[VICTIM_PROFILE].breaker
                     )
-            key = f"req-{entry.index:05d}"
-            keys.append(key)
-            response = client_a.request(
+            response = send(
+                f"req-{entry.index:05d}",
                 entry.kernel,
-                entry.payload,
+                payload=entry.payload,
                 budget_s=30.0,
                 priority=entry.priority,
-                idempotency_key=key,
             )
             record: Dict[str, Any] = {
                 "op": entry.index,
@@ -230,31 +224,17 @@ def run_campaign(
             if error is not None:
                 record["error"] = error
             ops.append(record)
-            if gateway_a.journal.get_ack(key) is not None:
-                acked_in_memory[key] = record["digest"]
         injector.sweep()
     finally:
         hooks.deactivate()
 
     # End-of-phase probes, chaos off: the victim must be refusing
     # (breaker OPEN after a storm), the default must still serve.
-    probe_default = client_a.request(
-        "add",
-        {"words": [3, 4, 5], "n_bits": 8},
-        budget_s=30.0,
-        idempotency_key="probe-default",
-    )
-    keys.append("probe-default")
-    if gateway_a.journal.get_ack("probe-default") is not None:
-        acked_in_memory["probe-default"] = response_digest(
-            probe_default.body
-        )
+    probe = {"payload": {"words": [3, 4, 5], "n_bits": 8}, "budget_s": 30.0}
+    probe_default = send("probe-default", "add", **probe)
     probe_victim = client_a.request(
-        "add",
-        {"words": [3, 4, 5], "n_bits": 8},
-        budget_s=30.0,
-        profile=VICTIM_PROFILE,
-        idempotency_key="probe-victim",
+        "add", profile=VICTIM_PROFILE, idempotency_key="probe-victim",
+        **probe,
     )
     issued_a = len(schedule) + 2
     breakers = {
@@ -278,26 +258,9 @@ def run_campaign(
     journal_b = RequestJournal(journal_path)
     recovery_counts = journal_b.counts()
     acked_on_disk = sorted(
-        key for key in keys if journal_b.get_ack(key) is not None
+        key for key in sent if journal_b.get_ack(key) is not None
     )
-    hub_b = TelemetryHub(
-        tracer=Tracer(max_roots=8192),
-        events=EventLog(MemorySink(capacity=65536)),
-    )
-    gateway_b = Gateway(
-        profiles=default_profiles(
-            {VICTIM_PROFILE: DeviceProfile(name=VICTIM_PROFILE)}
-        ),
-        workers=1,
-        telemetry=hub_b,
-        breaker=RequestBreakerConfig(open_seconds=3600.0),
-        retry=RetryConfig(
-            attempts=2, base=1e-4, cap=1e-3, jitter=0.5, seed=seed
-        ),
-        default_budget_s=30.0,
-        journal=journal_b,
-    )
-    client_b = ServiceClient(gateway=gateway_b, rejection_retries=0)
+    hub_b, gateway_b, client_b = _build_stack(seed, journal_b)
     client_b.start()  # startup replay runs here, before any request
     replay_records: List[Dict[str, Any]] = []
     for replayed in gateway_b.last_replay:
@@ -319,34 +282,12 @@ def run_campaign(
     # ----------------------------------------------------------- phase 3
     # Idempotent resubmits: every durably-acked key must answer from
     # the journal with the original response.
-    body_by_key = {
-        f"req-{entry.index:05d}": _request_body(
-            entry, f"req-{entry.index:05d}"
-        )
-        for entry in schedule
-    }
-    body_by_key["probe-default"] = {
-        "payload": {"words": [3, 4, 5], "n_bits": 8},
-        "priority": "interactive",
-        "profile": "default",
-        "budget_s": 30.0,
-        "idempotency_key": "probe-default",
-    }
-    kernel_by_key = {
-        f"req-{entry.index:05d}": entry.kernel for entry in schedule
-    }
-    kernel_by_key["probe-default"] = "add"
     resubmit_records: List[Dict[str, Any]] = []
     resubmit_evidence: Dict[str, Dict[str, Any]] = {}
     for key in acked_on_disk:
-        body = body_by_key[key]
+        kernel, request = sent[key]
         resubmitted = client_b.request(
-            kernel_by_key[key],
-            body["payload"],
-            budget_s=body["budget_s"],
-            priority=body["priority"],
-            profile=body["profile"],
-            idempotency_key=key,
+            kernel, idempotency_key=key, **request
         )
         disk_ack = journal_b.get_ack(key)
         disk_digest = (

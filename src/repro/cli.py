@@ -759,8 +759,13 @@ def _run_campaign_command(writer: OutputWriter, args) -> int:
             "--inject-worker-crash needs worker processes: a sharded run "
             "(--shards N) with --workers >= 1"
         )
+    from repro.resilience.checkpoint import CheckpointError
+
     run = _run_sharded_campaign if sharded else _run_campaign
-    return _run_instrumented(writer, args, run, sharded)
+    try:
+        return _run_instrumented(writer, args, run, sharded)
+    except CheckpointError as exc:  # a mismatched or malformed journal
+        raise SystemExit(str(exc)) from None
 
 
 @_writes

@@ -577,37 +577,41 @@ def _restore_campaign(
     from repro.resilience.executor import RecoveryStats
 
     document = ckpt.load_checkpoint(path)
-    ckpt.verify_resume(
-        document, config.fingerprint(), path, shard=shard, shards=shards
-    )
-    rng.setstate(ckpt.rng_state_from_json(document["stream_rng"]))
-    system.memory.injector.restore_state(document["injector"])
-    for key, state in document["dbcs"]:
-        bank, subarray, tile, dbc_index = key
-        cluster = (
-            system.memory.bank(bank)
-            .subarray(subarray)
-            .tile(tile)
-            .dbc(dbc_index)
+    try:
+        ckpt.verify_resume(
+            document, config.fingerprint(), path, shard=shard, shards=shards
         )
-        ckpt.restore_dbc_state(cluster, state)
-    if system.executor is not None and document["executor_stats"]:
-        system.executor.stats = RecoveryStats(**document["executor_stats"])
-    ckpt.restore_health_state(system.health, document["health"])
-    if system.breaker is not None and document["breaker"]:
-        system.breaker.restore(document["breaker"])
-    if system.scrubber is not None and document["scrub"]:
-        system.scrubber.restore_state(document["scrub"])
-    expected_rows.clear()
-    expected_rows.update(
-        {int(row): bits for row, bits in document["expected_rows"].items()}
-    )
-    partial = document["partial"]
-    result.escaped = partial["escaped"]
-    result.storage_ops = partial["storage_ops"]
-    result.storage_wrong = partial["storage_wrong"]
-    result.checkpoints_written = partial["checkpoints_written"]
-    return int(document["ops_done"])
+        rng.setstate(ckpt.rng_state_from_json(document["stream_rng"]))
+        system.memory.injector.restore_state(document["injector"])
+        for key, state in document["dbcs"]:
+            bank, subarray, tile, dbc_index = key
+            cluster = (
+                system.memory.bank(bank)
+                .subarray(subarray)
+                .tile(tile)
+                .dbc(dbc_index)
+            )
+            ckpt.restore_dbc_state(cluster, state)
+        if system.executor is not None and document["executor_stats"]:
+            system.executor.stats = RecoveryStats(**document["executor_stats"])
+        ckpt.restore_health_state(system.health, document["health"])
+        if system.breaker is not None and document["breaker"]:
+            system.breaker.restore(document["breaker"])
+        if system.scrubber is not None and document["scrub"]:
+            system.scrubber.restore_state(document["scrub"])
+        expected_rows.clear()
+        for row, bits in document["expected_rows"].items():
+            expected_rows[int(row)] = bits
+        partial = document["partial"]
+        result.escaped = partial["escaped"]
+        result.storage_ops = partial["storage_ops"]
+        result.storage_wrong = partial["storage_wrong"]
+        result.checkpoints_written = partial["checkpoints_written"]
+        return int(document["ops_done"])
+    except ckpt.MALFORMED as exc:
+        raise ckpt.CheckpointError(
+            f"checkpoint {path} is malformed: {exc!r}"
+        ) from exc
 
 
 def run_cnn_campaign(

@@ -133,13 +133,18 @@ class FaultCampaign:
             ckpt.discard_torn_temp(checkpoint_path)
         if checkpoint_path and os.path.exists(checkpoint_path):
             document = ckpt.load_checkpoint(checkpoint_path)
-            ckpt.verify_resume(
-                document, fingerprint, checkpoint_path,
-                shard=self.shard, shards=self.shards,
-            )
-            start = int(document["trial"])
-            errors = int(document["errors"])
-            self._injector.restore_state(document["injector"])
+            try:
+                ckpt.verify_resume(
+                    document, fingerprint, checkpoint_path,
+                    shard=self.shard, shards=self.shards,
+                )
+                start = int(document["trial"])
+                errors = int(document["errors"])
+                self._injector.restore_state(document["injector"])
+            except ckpt.MALFORMED as exc:
+                raise ckpt.CheckpointError(
+                    f"checkpoint {checkpoint_path} is malformed: {exc!r}"
+                ) from exc
 
         def save(done: int) -> None:
             ckpt.save_checkpoint(

@@ -85,33 +85,25 @@ _SUMMED_KEYS = (
 # crash injection (tests + the CI smoke job only)
 
 
-def _crash_hook(crash: Dict[str, Any]) -> Callable[[int], None]:
+def _crash_hook(crash: Dict[str, Any], attempt: int) -> Callable[[int], None]:
     """An ``on_op`` hook that kills or hangs the worker at one op.
 
-    ``mode`` ``"kill"``/``"hang"`` fire once — a marker file in the
-    journal directory records that the crash already happened, so the
-    retried worker sails past the same op. ``"kill-always"`` fires on
-    every attempt (to exercise retry exhaustion and the degraded
-    report).
+    ``mode`` ``"kill"``/``"hang"`` fire on the shard's first attempt
+    only, so the retried worker sails past the same op.
+    ``"kill-always"`` fires on every attempt (to exercise retry
+    exhaustion and the degraded report).
     """
     at_op = int(crash["at_op"])
     mode = crash.get("mode", "kill")
-    marker = crash.get("marker")
 
     def hook(index: int) -> None:
-        if index != at_op:
+        if index != at_op or (attempt > 1 and mode != "kill-always"):
             return
-        if mode != "kill-always" and marker:
-            if os.path.exists(marker):
-                return
-            with open(marker, "w", encoding="utf-8") as fh:
-                fh.write(f"crashed at op {index}\n")
-        if mode in ("kill", "kill-always"):
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif mode == "hang":
+        if mode == "hang":
             time.sleep(3600)
-        else:
+        elif mode not in ("kill", "kill-always"):
             raise ValueError(f"unknown crash mode {mode!r}")
+        os.kill(os.getpid(), signal.SIGKILL)
 
     return hook
 
@@ -120,107 +112,80 @@ def _crash_hook(crash: Dict[str, Any]) -> Callable[[int], None]:
 # shard workers (top-level so ProcessPoolExecutor can pickle them)
 
 
-def _deterministic_record(result: CampaignResult) -> Dict[str, Any]:
-    """A shard's summary with volatile resume bookkeeping stripped.
+def _shard_worker(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one shard's ``body``; returns its timed, enveloped record.
+
+    A journal that fails to *load* or restore (torn by an external
+    cause, bad JSON, a missing field) is moved aside to
+    ``<journal>.corrupt`` and the shard restarts from scratch — the
+    restart is deterministic, so the merge guarantee holds. A
+    :class:`CheckpointMismatchError` (journal from a different campaign
+    or shard) is a configuration error and propagates.
+    """
+    shard, journal = spec["shard"], spec["journal_path"]
+    lo, hi = shard_bounds(spec["total"], shard, spec["shards"])
+    started = time.perf_counter()
+    try:
+        record = spec["body"](spec)
+    except ckpt.CheckpointMismatchError:
+        raise
+    except ckpt.CheckpointError:
+        if not os.path.exists(journal):
+            raise
+        os.replace(journal, journal + ".corrupt")
+        record = spec["body"](spec)
+    return {
+        "shard": shard,
+        "record": {"shard": shard, "start": lo, "stop": hi, **record},
+        "wall_seconds": time.perf_counter() - started,
+    }
+
+
+def _campaign_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """One add-campaign shard's summary, minus ``resumed_from``.
 
     ``resumed_from`` depends on whether the attempt resumed after a
     crash — sim state does not — so it must not enter the canonical
     report the bit-identity guarantee covers.
     """
-    record = result.summary()
+    crash, on_op = spec["crash"], None
+    if crash is not None and int(crash["shard"]) == spec["shard"]:
+        on_op = _crash_hook(crash, spec["attempt"])
+    record = run_add_campaign(
+        spec["config"],
+        checkpoint_path=spec["journal_path"],
+        checkpoint_every=spec["checkpoint_every"],
+        shard=spec["shard"],
+        shards=spec["shards"],
+        on_op=on_op,
+    ).summary()
     record.pop("resumed_from", None)
     return record
 
 
-def _run_with_journal_recovery(run: Callable[[], Any], journal: Optional[str]):
-    """Run a shard body, quarantining a corrupt journal once.
-
-    A journal that fails to *load* (torn by an external cause, bad
-    JSON) is moved aside to ``<journal>.corrupt`` and the shard restarts
-    from scratch — the restart is deterministic, so the merge guarantee
-    holds. A :class:`CheckpointMismatchError` (journal from a different
-    campaign or shard) is a configuration error and propagates.
-    """
-    try:
-        return run()
-    except ckpt.CheckpointMismatchError:
-        raise
-    except ckpt.CheckpointError:
-        if not journal or not os.path.exists(journal):
-            raise
-        os.replace(journal, journal + ".corrupt")
-        return run()
-
-
-def _campaign_shard_worker(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one campaign shard (possibly resuming); returns its record."""
-    config: CampaignConfig = spec["config"]
-    shard, shards = spec["shard"], spec["shards"]
-    journal = spec.get("journal_path")
-    crash = spec.get("crash")
-    on_op = _crash_hook(crash) if crash else None
-    lo, hi = shard_bounds(config.ops, shard, shards)
-    started = time.perf_counter()
-
-    def run() -> CampaignResult:
-        return run_add_campaign(
-            config,
-            checkpoint_path=journal,
-            checkpoint_every=spec.get("checkpoint_every", 100),
-            shard=shard,
-            shards=shards,
-            on_op=on_op,
-        )
-
-    result = _run_with_journal_recovery(run, journal)
-    return {
-        "shard": shard,
-        "record": {"shard": shard, "start": lo, "stop": hi,
-                   **_deterministic_record(result)},
-        "wall_seconds": time.perf_counter() - started,
-        "resumed_from": result.resumed_from,
-    }
-
-
-def _mc_shard_worker(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one Monte Carlo shard; returns its record."""
+def _mc_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """One Monte Carlo shard's trial and error counts."""
     from repro.reliability.montecarlo import FaultCampaign
 
-    shard, shards = spec["shard"], spec["shards"]
-    journal = spec.get("journal_path")
+    fp = spec["config"]
     campaign = FaultCampaign(
-        trd=spec["trd"],
-        fault_rate=spec["fault_rate"],
-        seed=spec["seed"],
-        tracks=spec["tracks"],
-        shard=shard,
-        shards=shards,
+        trd=fp["trd"],
+        fault_rate=fp["fault_rate"],
+        seed=fp["seed"],
+        tracks=fp["tracks"],
+        shard=spec["shard"],
+        shards=spec["shards"],
     )
-    runner = getattr(campaign, f"run_{spec['kind']}")
-    lo, hi = shard_bounds(spec["trials"], shard, shards)
-    started = time.perf_counter()
-
-    def run():
-        return runner(
-            trials=spec["trials"],
-            n_bits=spec["n_bits"],
-            checkpoint_path=journal,
-            checkpoint_every=spec.get("checkpoint_every", 0),
-        )
-
-    result = _run_with_journal_recovery(run, journal)
+    result = getattr(campaign, f"run_{fp['kind']}")(
+        trials=fp["trials"],
+        n_bits=fp["n_bits"],
+        checkpoint_path=spec["journal_path"],
+        checkpoint_every=spec["checkpoint_every"],
+    )
     return {
-        "shard": shard,
-        "record": {
-            "shard": shard,
-            "start": lo,
-            "stop": hi,
-            "trials": result.trials,
-            "errors": result.errors,
-            "error_rate": round(result.error_rate, 8),
-        },
-        "wall_seconds": time.perf_counter() - started,
-        "resumed_from": None,
+        "trials": result.trials,
+        "errors": result.errors,
+        "error_rate": round(result.error_rate, 8),
     }
 
 
@@ -284,6 +249,8 @@ class ShardSupervisor:
     is retried — resuming from its own journal — until it completes or
     has consumed ``1 + max_shard_retries`` attempts, at which point it
     is recorded in ``incomplete`` and the campaign degrades gracefully.
+    Each attempt runs ``worker`` on its spec plus ``"attempt"``, the
+    shard's 1-based attempt number.
 
     ``workers=0`` runs every shard inline in this process (the
     reference mode the bit-identity tests diff against).
@@ -377,7 +344,9 @@ class ShardSupervisor:
             attempts[shard] += 1
             started = time.perf_counter()
             try:
-                payload = self.worker(self.specs[shard])
+                payload = self.worker(
+                    {**self.specs[shard], "attempt": attempts[shard]}
+                )
             except Exception as exc:
                 wall = time.perf_counter() - started
                 last_reason[shard] = f"failed: {exc}"
@@ -406,7 +375,10 @@ class ShardSupervisor:
             futures = {}
             for shard in wave:
                 attempts[shard] += 1
-                future = pools[shard].submit(self.worker, self.specs[shard])
+                future = pools[shard].submit(
+                    self.worker,
+                    {**self.specs[shard], "attempt": attempts[shard]},
+                )
                 futures[future] = shard
             not_done = set(futures)
             while not_done:
@@ -483,36 +455,51 @@ def merge_campaign_records(
 ) -> Dict[str, Any]:
     """Recombine per-shard records into the single-run totals.
 
-    Counter fields sum; the rates are recomputed from the summed
-    counters exactly as :meth:`CampaignResult.summary` computes them, so
-    a 1-shard merge reproduces the plain summary field-for-field.
-    Adaptive-protection state is inherently per-DBC-per-shard and stays
-    in the shard records rather than being averaged into nonsense here.
+    Counter fields sum, and :meth:`CampaignResult.summary` computes the
+    rates from the sums, so a 1-shard merge reproduces the plain summary
+    field-for-field. Adaptive-protection state is inherently
+    per-DBC-per-shard and stays in the shard records rather than being
+    averaged into nonsense here.
     """
-    merged: Dict[str, Any] = {key: 0 for key in _SUMMED_KEYS}
-    for record in records:
-        for key in _SUMMED_KEYS:
-            merged[key] += int(record.get(key, 0))
-    injected = merged["injected"]
-    merged["recovery"] = all(r["recovery"] for r in records) if records else False
-    merged["completed"] = all(r["completed"] for r in records)
-    merged["detection_rate"] = round(
-        merged["detected"] / injected if injected else 1.0, 4
-    )
-    merged["correction_rate"] = round(
-        merged["corrected"] / injected if injected else 1.0, 4
-    )
-    merged["observed_op_error_rate"] = round(
-        merged["escaped"] / merged["ops"] if merged["ops"] else 0.0, 6
-    )
-    merged["analytic_op_error_rate"] = round(analytic_op_error_rate, 6)
-    scrub = _merge_scrub(records)
-    if scrub is not None:
-        merged["scrub"] = scrub
-    if not any(r.get("storage_ops") for r in records):
-        merged.pop("storage_ops", None)
-        merged.pop("storage_wrong", None)
-    return merged
+    sums = {
+        key: sum(int(record.get(key, 0)) for record in records)
+        for key in _SUMMED_KEYS
+    }
+    sums["injected_tr_faults"] = sums.pop("injected")
+    return CampaignResult(
+        recovery=bool(records) and all(r["recovery"] for r in records),
+        completed=all(r["completed"] for r in records),
+        analytic_op_error_rate=analytic_op_error_rate,
+        scrub=_merge_scrub(records),
+        **sums,
+    ).summary()
+
+
+def _report(
+    schema: str,
+    kind: str,
+    config: Dict[str, Any],
+    shards: int,
+    records: List[Dict[str, Any]],
+    incomplete: Dict[int, str],
+    merge: Callable[[List[Dict[str, Any]]], Dict[str, Any]],
+    **header: Any,
+) -> Dict[str, Any]:
+    """The report envelope both campaign kinds share."""
+    ordered = sorted(records, key=lambda r: r["shard"])
+    return {
+        "schema": schema,
+        "kind": kind,
+        "config": config,
+        **header,
+        "shards": shards,
+        "shard_reports": ordered,
+        "merged": merge(ordered),
+        "incomplete_shards": [
+            {"shard": shard, "reason": reason}
+            for shard, reason in sorted(incomplete.items())
+        ],
+    }
 
 
 def build_campaign_report(
@@ -528,52 +515,40 @@ def build_campaign_report(
     what must be byte-identical between a multiprocess run, a
     sequential run, and a crashed-then-resumed run.
     """
-    ordered = sorted(records, key=lambda r: r["shard"])
-    return {
-        "schema": CAMPAIGN_SCHEMA,
-        "kind": "add_campaign",
-        "config": config.fingerprint(),
-        "config_hash": ckpt.config_hash(config.fingerprint()),
-        "shards": shards,
-        "shard_reports": ordered,
-        "merged": merge_campaign_records(
+    fingerprint = config.fingerprint()
+    return _report(
+        CAMPAIGN_SCHEMA, "add_campaign", fingerprint, shards, records,
+        incomplete,
+        lambda ordered: merge_campaign_records(
             ordered,
-            records[0]["analytic_op_error_rate"] if records else 0.0,
+            ordered[0]["analytic_op_error_rate"] if ordered else 0.0,
         ),
-        "incomplete_shards": [
-            {"shard": shard, "reason": reason}
-            for shard, reason in sorted(incomplete.items())
-        ],
-    }
+        config_hash=ckpt.config_hash(fingerprint),
+    )
 
 
 def build_mc_report(
-    kind: str,
     fingerprint: Dict[str, Any],
     shards: int,
     records: List[Dict[str, Any]],
     incomplete: Dict[int, str],
 ) -> Dict[str, Any]:
-    ordered = sorted(records, key=lambda r: r["shard"])
-    trials = sum(r["trials"] for r in ordered)
-    errors = sum(r["errors"] for r in ordered)
-    return {
-        "schema": MC_SCHEMA,
-        "kind": kind,
-        "config": fingerprint,
-        "shards": shards,
-        "shard_reports": ordered,
-        "merged": {
+    """The canonical merged Monte Carlo report (trials and errors sum)."""
+
+    def merge(ordered: List[Dict[str, Any]]) -> Dict[str, Any]:
+        trials = sum(r["trials"] for r in ordered)
+        errors = sum(r["errors"] for r in ordered)
+        return {
             "trials": trials,
             "errors": errors,
             "error_rate": round(errors / trials if trials else 0.0, 8),
             "injected_rate": fingerprint["fault_rate"],
-        },
-        "incomplete_shards": [
-            {"shard": shard, "reason": reason}
-            for shard, reason in sorted(incomplete.items())
-        ],
-    }
+        }
+
+    return _report(
+        MC_SCHEMA, fingerprint["kind"], fingerprint, shards, records,
+        incomplete, merge,
+    )
 
 
 def report_bytes(report: Dict[str, Any]) -> bytes:
@@ -642,16 +617,51 @@ def journal_path(journal_dir: str, shard: int) -> str:
     return os.path.join(journal_dir, f"journal.shard-{shard}.json")
 
 
-def _crash_spec(
-    crash: Optional[Dict[str, Any]], journal_dir: str, shard: int
-) -> Optional[Dict[str, Any]]:
-    if crash is None or int(crash["shard"]) != shard:
-        return None
-    return {
-        "at_op": int(crash["at_op"]),
-        "mode": crash.get("mode", "kill"),
-        "marker": os.path.join(journal_dir, f"crash.shard-{shard}.done"),
-    }
+def _run_sharded(
+    body: Callable[[Dict[str, Any]], Dict[str, Any]],
+    total: int,
+    shards: int,
+    common: Dict[str, Any],
+    build_report: Callable[..., Dict[str, Any]],
+    journal_dir: Optional[str],
+    **supervision: Any,
+) -> ShardedRunResult:
+    """The one run path of both campaign kinds.
+
+    Shard ``k``'s spec is ``common`` plus its identity and journal path;
+    :func:`_shard_worker` runs ``body`` on it under a
+    :class:`ShardSupervisor` built with ``supervision``, and
+    ``build_report(records, incomplete)`` merges the results. The report
+    is written to ``journal_dir/report.json``; without a ``journal_dir``
+    a temporary directory backs the retry machinery and is removed
+    afterwards.
+    """
+    shard_bounds(total, 0, shards)  # validates shards vs ops / trials
+    directory = journal_dir or tempfile.mkdtemp(prefix="coruscant-shards-")
+    os.makedirs(directory, exist_ok=True)
+    try:
+        specs = [
+            {
+                **common,
+                "body": body,
+                "total": total,
+                "shard": shard,
+                "shards": shards,
+                "journal_path": journal_path(directory, shard),
+            }
+            for shard in range(shards)
+        ]
+        outcome = ShardSupervisor(_shard_worker, specs, **supervision).run()
+        report = build_report(
+            [payload["record"] for payload in outcome.results.values()],
+            outcome.incomplete,
+        )
+        if journal_dir is not None:
+            write_report(report, os.path.join(directory, "report.json"))
+        return ShardedRunResult(report, outcome.attempts, journal_dir)
+    finally:
+        if journal_dir is None:
+            shutil.rmtree(directory, ignore_errors=True)
 
 
 def run_sharded_campaign(
@@ -686,52 +696,26 @@ def run_sharded_campaign(
         crash: test/CI-only fault injection
             (``{"shard": k, "at_op": i, "mode": "kill"|"hang"|"kill-always"}``).
     """
-    shard_bounds(config.ops, 0, shards)  # validates shards vs ops
     if crash is not None and workers == 0:
         raise ValueError(
             "crash injection needs worker processes; it would kill or "
             "hang the supervisor when run inline (workers=0)"
         )
-    owns_dir = journal_dir is None
-    directory = journal_dir or tempfile.mkdtemp(prefix="coruscant-shards-")
-    os.makedirs(directory, exist_ok=True)
-    try:
-        specs = [
-            {
-                "config": config,
-                "shard": shard,
-                "shards": shards,
-                "journal_path": journal_path(directory, shard),
-                "checkpoint_every": checkpoint_every,
-                "crash": _crash_spec(crash, directory, shard),
-            }
-            for shard in range(shards)
-        ]
-        supervisor = ShardSupervisor(
-            _campaign_shard_worker,
-            specs,
-            workers=workers,
-            shard_timeout=shard_timeout,
-            max_shard_retries=max_shard_retries,
-            telemetry=telemetry,
-        )
-        outcome = supervisor.run()
-        report = build_campaign_report(
-            config,
-            shards,
-            [payload["record"] for payload in outcome.results.values()],
-            outcome.incomplete,
-        )
-        if journal_dir is not None:
-            write_report(report, os.path.join(directory, "report.json"))
-        return ShardedRunResult(
-            report=report,
-            attempts=outcome.attempts,
-            journal_dir=journal_dir,
-        )
-    finally:
-        if owns_dir:
-            shutil.rmtree(directory, ignore_errors=True)
+    return _run_sharded(
+        _campaign_shard,
+        config.ops,
+        shards,
+        {"config": config, "checkpoint_every": checkpoint_every,
+         "crash": crash},
+        lambda records, incomplete: build_campaign_report(
+            config, shards, records, incomplete
+        ),
+        journal_dir,
+        workers=workers,
+        shard_timeout=shard_timeout,
+        max_shard_retries=max_shard_retries,
+        telemetry=telemetry,
+    )
 
 
 MC_KINDS = ("additions", "multiplies", "tmr_additions")
@@ -763,10 +747,6 @@ def run_sharded_mc(
         raise ValueError(
             f"unknown MC kind {kind!r}; pick one of {', '.join(MC_KINDS)}"
         )
-    shard_bounds(trials, 0, shards)  # validates shards vs trials
-    owns_dir = journal_dir is None
-    directory = journal_dir or tempfile.mkdtemp(prefix="coruscant-mc-")
-    os.makedirs(directory, exist_ok=True)
     fingerprint = {
         "kind": kind,
         "trd": trd,
@@ -776,49 +756,20 @@ def run_sharded_mc(
         "trials": trials,
         "n_bits": n_bits,
     }
-    try:
-        specs = [
-            {
-                "kind": kind,
-                "trials": trials,
-                "fault_rate": fault_rate,
-                "trd": trd,
-                "seed": seed,
-                "tracks": tracks,
-                "n_bits": n_bits,
-                "shard": shard,
-                "shards": shards,
-                "journal_path": journal_path(directory, shard),
-                "checkpoint_every": checkpoint_every,
-            }
-            for shard in range(shards)
-        ]
-        supervisor = ShardSupervisor(
-            _mc_shard_worker,
-            specs,
-            workers=workers,
-            shard_timeout=shard_timeout,
-            max_shard_retries=max_shard_retries,
-            telemetry=telemetry,
-        )
-        outcome = supervisor.run()
-        report = build_mc_report(
-            kind,
-            fingerprint,
-            shards,
-            [payload["record"] for payload in outcome.results.values()],
-            outcome.incomplete,
-        )
-        if journal_dir is not None:
-            write_report(report, os.path.join(directory, "report.json"))
-        return ShardedRunResult(
-            report=report,
-            attempts=outcome.attempts,
-            journal_dir=journal_dir,
-        )
-    finally:
-        if owns_dir:
-            shutil.rmtree(directory, ignore_errors=True)
+    return _run_sharded(
+        _mc_shard,
+        trials,
+        shards,
+        {"config": fingerprint, "checkpoint_every": checkpoint_every},
+        lambda records, incomplete: build_mc_report(
+            fingerprint, shards, records, incomplete
+        ),
+        journal_dir,
+        workers=workers,
+        shard_timeout=shard_timeout,
+        max_shard_retries=max_shard_retries,
+        telemetry=telemetry,
+    )
 
 
 __all__ = [

@@ -40,6 +40,11 @@ class CheckpointMismatchError(CheckpointError):
     """The checkpoint belongs to a different campaign configuration."""
 
 
+#: What restoring a parsed journal raises on a missing or mistyped field;
+#: journal readers re-raise these as :class:`CheckpointError`.
+MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
 # ----------------------------------------------------------------------
 # RNG state
 
@@ -238,6 +243,7 @@ __all__ = [
     "FORMAT_VERSION",
     "CheckpointError",
     "CheckpointMismatchError",
+    "MALFORMED",
     "config_hash",
     "dbc_state",
     "device_stats_state",

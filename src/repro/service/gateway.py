@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import sys
 import time
 import traceback
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -400,8 +401,10 @@ class Gateway:
             budget, (int, float)
         ):
             raise BadRequest("'budget_s' must be a number")
-        if budget <= 0:
-            raise BadRequest(f"'budget_s' must be > 0, got {budget}")
+        if not 0 < budget <= sys.float_info.max:
+            raise BadRequest(
+                f"'budget_s' must be finite and > 0, got {budget}"
+            )
         # Chaos: clock skew on the deadline budget. A skewed gateway
         # clock mis-sizes the monotonic budget the deadline is minted
         # from; a tiny scale collapses it to an immediate 504.
@@ -488,7 +491,7 @@ class Gateway:
     # ------------------------------------------------------------------
     # debug profiling endpoints
 
-    def profile_start(self, body: Optional[Dict[str, Any]] = None) -> _Reply:
+    def profile_start(self, body: Any) -> _Reply:
         if not self.enable_profiling:
             return _rejected(
                 403, "profiling_disabled",
@@ -498,15 +501,20 @@ class Gateway:
             return _rejected(409, "profiler_running")
         from repro.telemetry.profiler import SamplingProfiler
 
-        interval_ms = (body or {}).get("interval_ms", 5.0)
+        if not isinstance(body, dict):
+            return _rejected(
+                400, "bad_request", message="body must be a JSON object"
+            )
+        interval_ms = body.get("interval_ms", 5.0)
+        limit_ms = 1000 * SamplingProfiler.MAX_INTERVAL_S
         if (
             isinstance(interval_ms, bool)
             or not isinstance(interval_ms, (int, float))
-            or interval_ms <= 0
+            or not 0 < interval_ms <= limit_ms
         ):
             return _rejected(
                 400, "bad_request",
-                message="'interval_ms' must be a positive number",
+                message=f"'interval_ms' must be a number in (0, {limit_ms:g}]",
             )
         self._profiler = SamplingProfiler(
             interval_s=float(interval_ms) / 1000.0,

@@ -175,14 +175,20 @@ class SamplingProfiler:
     request's ledger entry.
     """
 
+    #: The longest wait the sampling thread's ``Event.wait`` accepts.
+    MAX_INTERVAL_S = threading.TIMEOUT_MAX
+
     def __init__(
         self,
         interval_s: float = 0.005,
         tracer=None,
         frames_fn: Callable[[], Dict[int, Any]] = sys._current_frames,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
+        if not 0 < interval_s <= self.MAX_INTERVAL_S:
+            raise ValueError(
+                f"interval_s must be in (0, {self.MAX_INTERVAL_S}], "
+                f"got {interval_s}"
+            )
         self.interval_s = interval_s
         self.tracer = tracer
         self._frames_fn = frames_fn

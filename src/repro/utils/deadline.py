@@ -31,7 +31,7 @@ class Deadline:
         budget: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if budget < 0:
+        if not budget >= 0:  # also refuses NaN, which never expires
             raise ValueError(f"budget must be >= 0, got {budget}")
         self._clock = clock
         self.expires_at = clock() + budget

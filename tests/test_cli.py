@@ -543,6 +543,56 @@ class TestCorruptHistory:
         ]
 
 
+class TestMalformedJournals:
+    """A journal that parses but lacks a field is a typed error."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (["campaign", "--ops", "40", "--shards", "2", "--workers", "0",
+          "--fault-rate", "1e-2", "--checkpoint-every", "10"], "stream_rng"),
+        (["mc", "additions", "--trials", "60", "--shards", "2",
+          "--workers", "0", "--checkpoint-every", "10"], "trial"),
+    ], ids=["campaign", "mc"])
+    def test_shard_journal_is_quarantined(self, tmp_path, argv, field,
+                                          capsys):
+        directory = tmp_path / "D"
+        argv = argv + ["--journal", str(directory)]
+        assert main(argv) == 0
+        clean = (directory / "report.json").read_bytes()
+        journal = directory / "journal.shard-1.json"
+        document = json.loads(journal.read_text())
+        del document[field]
+        journal.write_text(json.dumps(document))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert (directory / "journal.shard-1.json.corrupt").exists()
+        assert (directory / "report.json").read_bytes() == clean
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--fault-rate", "2e-2"], None),
+        (["--fault-rate", "1e-2"], "partial"),
+    ], ids=["mismatched", "missing-field"])
+    def test_checkpoint_error_is_one_line(self, tmp_path, flags, field,
+                                          capsys):
+        journal = tmp_path / "J"
+        base = ["campaign", "--ops", "60", "--checkpoint", str(journal)]
+        assert main(base + ["--fault-rate", "1e-2",
+                            "--stop-after", "20"]) == 0
+        capsys.readouterr()
+        if field is not None:
+            document = json.loads(journal.read_text())
+            del document[field]
+            journal.write_text(json.dumps(document))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *base, *flags, "--json"],
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert str(journal) in line and "Traceback" not in line
+
+
 class TestJsonExitStatus:
     def test_experiment_json_carries_exit_status(self, capsys):
         assert main(["table1", "--json"]) == 0

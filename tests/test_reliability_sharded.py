@@ -12,6 +12,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.reliability.campaign import (
     CampaignConfig,
@@ -30,6 +32,14 @@ from repro.reliability.sharded import (
     run_sharded_mc,
 )
 from repro.telemetry import TelemetryHub
+
+
+def _fail_first_attempt(spec):
+    """A pool-picklable worker that fails each shard's first attempt."""
+    if spec["attempt"] == 1:
+        raise RuntimeError("first attempt")
+    return {"shard": spec["shard"], "record": dict(spec),
+            "wall_seconds": 0.0}
 
 
 def storm_config(seed=0, ops=40):
@@ -139,6 +149,21 @@ class TestCrashRecovery:
         # The merged report was persisted next to the journals.
         on_disk = (tmp_path / "j" / "report.json").read_bytes()
         assert on_disk == report_bytes(baseline.report)
+
+    def test_crash_fires_on_the_first_attempt_only(self, tmp_path):
+        # The retry knows its attempt number: no marker file is left.
+        result = run_sharded_campaign(
+            storm_config(seed=4),
+            shards=2,
+            journal_dir=str(tmp_path),
+            crash={"shard": 0, "at_op": 3, "mode": "kill"},
+        )
+        assert [
+            (a.attempt, a.status) for a in result.attempts if a.shard == 0
+        ] == [(1, "crashed"), (2, "completed")]
+        assert sorted(os.listdir(tmp_path)) == [
+            "journal.shard-0.json", "journal.shard-1.json", "report.json"
+        ]
 
     def test_hung_worker_times_out_and_retries(self, tmp_path):
         config = storm_config(seed=5)
@@ -285,6 +310,20 @@ class TestSupervisor:
         assert [a.status for a in outcome.attempts] == ["failed"] * 3
         assert [a.attempt for a in outcome.attempts] == [1, 2, 3]
 
+    @pytest.mark.parametrize("workers", [0, None])
+    def test_each_attempt_gets_its_number(self, workers):
+        outcome = ShardSupervisor(
+            _fail_first_attempt,
+            [{"shard": 0}, {"shard": 1}],
+            workers=workers,
+        ).run()
+        for shard in (0, 1):
+            assert [
+                (a.attempt, a.status)
+                for a in outcome.attempts if a.shard == shard
+            ] == [(1, "failed"), (2, "completed")]
+            assert outcome.results[shard]["record"]["attempt"] == 2
+
     def test_invalid_supervisor_parameters(self):
         with pytest.raises(ValueError):
             ShardSupervisor(lambda s: s, [], max_shard_retries=-1)
@@ -355,6 +394,79 @@ class TestMerge:
         )
         assert merged["detection_rate"] == 1.0
         assert merged["correction_rate"] == 1.0
+
+
+@st.composite
+def campaign_configs(draw):
+    ops = draw(st.integers(4, 40))
+    recovery = draw(st.booleans())
+    return CampaignConfig(
+        ops=ops,
+        tr_fault_rate=draw(st.sampled_from([0.0, 1e-2])),
+        shift_fault_rate=draw(st.sampled_from([0.0, 1e-3])),
+        seed=draw(st.integers(0, 1000)),
+        recovery=recovery,
+        adaptive=recovery and draw(st.booleans()),
+        scrub_interval=draw(st.sampled_from([None, 4])),
+        storage_rows=draw(st.sampled_from([0, 8])),
+        storm_ops=draw(st.sampled_from([None, ops // 2])),
+    )
+
+
+class TestMergeDifferential:
+    """The merged summary against plain runs, over generated configs."""
+
+    COUNTERS = ("ops", "injected", "detected", "corrected", "escaped",
+                "retries", "escalations", "uncorrectable",
+                "overhead_cycles", "total_cycles")
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=campaign_configs())
+    def test_one_shard_merge_is_the_plain_summary(self, config):
+        plain = run_add_campaign(config).summary()
+        plain.pop("protection", None)
+        merged = run_sharded_campaign(config, shards=1, workers=0).report[
+            "merged"
+        ]
+        assert merged == plain
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=campaign_configs(), shards=st.integers(2, 3))
+    def test_merged_counters_are_shard_sums(self, config, shards):
+        parts = [
+            run_add_campaign(config, shard=k, shards=shards).summary()
+            for k in range(shards)
+        ]
+        merged = run_sharded_campaign(
+            config, shards=shards, workers=0
+        ).report["merged"]
+        for key in self.COUNTERS:
+            assert merged[key] == sum(p[key] for p in parts), key
+        storage = sum(p.get("storage_ops", 0) for p in parts)
+        if storage:
+            assert merged["storage_ops"] == storage
+            assert merged["storage_wrong"] == sum(
+                p["storage_wrong"] for p in parts
+            )
+        else:
+            assert "storage_ops" not in merged
+        scrubs = [p["scrub"] for p in parts if "scrub" in p]
+        assert merged.get("scrub") == (
+            {k: sum(s[k] for s in scrubs) for k in scrubs[0]}
+            if scrubs else None
+        )
+        injected, ops = merged["injected"], merged["ops"]
+        assert merged["detection_rate"] == round(
+            merged["detected"] / injected if injected else 1.0, 4
+        )
+        assert merged["correction_rate"] == round(
+            merged["corrected"] / injected if injected else 1.0, 4
+        )
+        assert merged["observed_op_error_rate"] == round(
+            merged["escaped"] / ops, 6
+        )
+        assert merged["recovery"] is config.recovery
+        assert merged["completed"] is True
 
 
 class TestShardedMonteCarlo:

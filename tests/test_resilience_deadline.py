@@ -84,6 +84,11 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline(-1.0, clock=FakeClock())
 
+    def test_nan_budget_rejected(self):
+        # A NaN deadline would never expire yet allow no retry sleep.
+        with pytest.raises(ValueError):
+            Deadline(float("nan"), clock=FakeClock())
+
     def test_as_timeout(self):
         clock = FakeClock()
         assert Deadline.never(clock=clock).as_timeout() is None

@@ -16,12 +16,14 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service.admission import AdmissionPolicy
 from repro.service.breaker import OPEN, RequestBreakerConfig
 from repro.service.client import ServiceClient
 from repro.service.dispatch import RetryConfig
-from repro.service.gateway import Gateway
+from repro.service.gateway import _REASONS, Gateway, _BadHttp
 from repro.service.profiles import DeviceProfile, default_profiles
 from repro.service.protocol import (
     KERNELS,
@@ -859,3 +861,155 @@ class TestHttpErrors:
         assert status == 500
         assert body == {"status": "error", "error": "internal"}
         assert journal.has_intent("k1")
+
+
+# ----------------------------------------------------------------------
+# generated wire input
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# Values that broke a handler once, mixed into every body field.
+_EDGE_VALUES = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), 1e300, 10 ** 400, 0, -1,
+    True, None, "x", [1],
+])
+_OBJECT_BODIES = st.fixed_dictionaries({}, optional={
+    key: _EDGE_VALUES | _JSON_VALUES
+    for key in ("payload", "budget_s", "priority", "profile",
+                "interval_ms")
+})
+# json.dumps writes NaN and Infinity unless told not to, as a careless
+# client would.
+_BODIES = (_OBJECT_BODIES | _EDGE_VALUES | _JSON_VALUES).map(
+    lambda value: json.dumps(value).encode()
+) | st.binary(max_size=48)
+_POST_PATHS = [f"/v1/{kernel}" for kernel in KERNELS] + [
+    "/v1/nope", "/debug/profile/start", "/debug/profile/stop",
+    "/debug/profile/x",
+]
+_PATHS = st.sampled_from(
+    _POST_PATHS + ["/healthz", "/readyz", "/metrics", "/"]
+) | st.text(max_size=10)
+
+
+@st.composite
+def http_requests(draw):
+    """A request line, a header block and a body; each part is well
+    formed three times in four, so most examples reach a handler."""
+
+    def part(good, bad):
+        return draw(bad) if draw(st.integers(0, 3)) == 0 else good
+
+    body = draw(_BODIES)
+    method = part(draw(st.sampled_from(["GET", "POST"])), st.text(max_size=5))
+    version = part("HTTP/1.1", st.text(max_size=8))
+    length = part(str(len(body)), st.integers(0, 1 << 21).map(str)
+                  | st.text(max_size=6))
+    headers = draw(st.lists(st.tuples(
+        st.sampled_from(["Accept", "Host"]) | st.text(max_size=8),
+        st.sampled_from(["application/openmetrics-text", "*/*"])
+        | st.text(max_size=12),
+    ), max_size=2))
+    head = f"{method} {draw(_PATHS)} {version}\r\n" + "".join(
+        f"{name}: {value}\r\n"
+        for name, value in headers + [("Content-Length", length)]
+    )
+    return (head + "\r\n").encode() + body
+
+
+def _post(path, body):
+    return (
+        f"POST {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+class TestHttpBoundary:
+    """Whatever arrives on the wire gets a JSON-clean answer or a 400."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        async def start():
+            gateway = Gateway(workers=1, enable_profiling=True)
+            await gateway.start_core()
+            return gateway
+
+        loop = asyncio.new_event_loop()
+        gateway = loop.run_until_complete(start())
+        try:
+            yield loop, gateway
+        finally:
+            loop.run_until_complete(gateway.shutdown())
+            loop.close()
+
+    @staticmethod
+    def answer(served, raw):
+        """``_handle_http`` on ``raw`` then EOF; stops any profiler."""
+        loop, gateway = served
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await gateway._handle_http(reader)
+
+        try:
+            return loop.run_until_complete(scenario())
+        finally:
+            if gateway._profiler is not None:
+                gateway.profile_stop()
+
+    @pytest.mark.parametrize("budget", ["NaN", "Infinity", "-Infinity",
+                                        "1e999", "1" * 400])
+    def test_non_finite_budget_is_400(self, served, budget):
+        raw = _post("/v1/add", (
+            '{"payload": {"words": [1, 2], "n_bits": 8}, '
+            f'"budget_s": {budget}}}'
+        ).encode())
+        status, body, _ = self.answer(served, raw)
+        assert status == 400 and body["error"] == "bad_request"
+        json.dumps(body, allow_nan=False)
+
+    @pytest.mark.parametrize("raw_body", [
+        b'{"interval_ms": NaN}', b'{"interval_ms": Infinity}',
+        b'{"interval_ms": -Infinity}', b'{"interval_ms": 1e300}',
+        b"[1]", b'"x"', b"null",
+    ])
+    def test_bad_profile_start_is_400(self, served, raw_body):
+        status, body, _ = self.answer(
+            served, _post("/debug/profile/start", raw_body)
+        )
+        assert status == 400 and body["error"] == "bad_request"
+        assert served[1]._profiler is None
+
+    def test_finite_interval_starts_the_profiler(self, served):
+        status, body, _ = self.answer(
+            served, _post("/debug/profile/start", b'{"interval_ms": 2}')
+        )
+        assert (status, body["interval_ms"]) == (200, 2.0)
+
+    @staticmethod
+    def check(served, raw):
+        try:
+            status, body, _ = TestHttpBoundary.answer(served, raw)
+        except _BadHttp:
+            return
+        assert status in _REASONS
+        if not isinstance(body, str):
+            json.dumps(body, allow_nan=False)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=http_requests())
+    def test_generated_requests(self, served, raw):
+        self.check(served, raw)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(path=st.sampled_from(_POST_PATHS), body=_BODIES)
+    def test_generated_bodies(self, served, path, body):
+        self.check(served, _post(path, body))

@@ -209,6 +209,15 @@ class TestSampleOnce:
         with pytest.raises(ValueError):
             SamplingProfiler(interval_s=0)
 
+    @pytest.mark.parametrize(
+        "interval_s", [float("nan"), float("inf"), threading.TIMEOUT_MAX * 2]
+    )
+    def test_interval_must_be_a_wait_the_thread_can_make(self, interval_s):
+        # Event.wait(nan) returns at once (a busy loop); a wait beyond
+        # TIMEOUT_MAX raises OverflowError inside the sampling thread.
+        with pytest.raises(ValueError):
+            SamplingProfiler(interval_s=interval_s)
+
 
 class TestWallSampling:
     def test_start_stop_round_trip(self):
