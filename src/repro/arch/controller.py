@@ -127,7 +127,7 @@ class MemoryController:
         """Regular row read through the orange bypass path of Fig. 4(a)."""
         dbc = self._dbc(address)
         shifts = dbc.align(address.row, port_index=0)
-        bits = dbc.read_row(port_index=0)
+        bits = dbc.read_row(port_index=0).tolist()
         hit = self._account_access(address, shifts, is_write=False)
         self.stats.reads += 1
         if self.telemetry is not None:

@@ -74,7 +74,7 @@ class DataMover:
                 f"{self.buffer.width}-bit row buffer"
             )
         shifts = src.align(src_row, port_index=0)
-        bits = src.read_row(port_index=0)
+        bits = src.read_row(port_index=0).tolist()
         self.buffer.latch(
             bits + [0] * (self.buffer.width - len(bits)), row=src_row
         )
@@ -102,7 +102,7 @@ class DataMover:
         """
         before = self.total_cycles
         shifts = src.align(src_row, port_index=0)
-        bits = src.read_row(port_index=0)
+        bits = src.read_row(port_index=0).tolist()
         self.buffer.latch(
             bits + [0] * (self.buffer.width - len(bits)), row=src_row
         )

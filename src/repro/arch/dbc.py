@@ -136,6 +136,27 @@ def pim_port_positions(domains: int, trd: int) -> Tuple[int, int]:
     return left, left + trd - 1
 
 
+def carry_outputs(
+    track: int, end: int, level: int, super_carry: bool
+) -> List[Tuple[int, int, int]]:
+    """The writes of one carry-walk step (Fig. 6), as (track, port, bit).
+
+    The PIM block writes the binary digits of the step's TR level: S
+    under the left head (port 0) of ``track``, C under the right head
+    (port 1) of the next track and, with a super carry, C' under the
+    left head two tracks up. Writes at or past the block end ``end``
+    are dropped.
+    """
+    if not 0 <= level <= 7:
+        raise ValueError(f"level {level} outside [0, 7]")
+    writes = [(track, 0, level & 1)]
+    if track + 1 < end:
+        writes.append((track + 1, 1, level >> 1 & 1))
+        if super_carry and track + 2 < end:
+            writes.append((track + 2, 0, level >> 2 & 1))
+    return writes
+
+
 class DomainBlockCluster:
     """X lockstep racetracks forming one domain-block cluster."""
 
@@ -215,6 +236,15 @@ class DomainBlockCluster:
         lo, hi = self.window
         return hi - lo + 1
 
+    @property
+    def super_carry(self) -> bool:
+        """Whether a carry-walk step writes a super carry C' (Fig. 6).
+
+        A TR level never exceeds the window, so only a window of four or
+        more domains can count to 4.
+        """
+        return self.window_size > 3
+
     def window_row_at(self, slot: int) -> Optional[int]:
         """Data row believed to occupy window slot ``slot`` (0 = left head).
 
@@ -265,6 +295,27 @@ class DomainBlockCluster:
         """Read the domains at window slot ``slot`` (no cost recorded)."""
         return self._domains[:, self._slot_column(slot)].tolist()
 
+    def poke_window_block(self, start_track: int, block) -> None:
+        """Set the window of a run of tracks in one go (no cost recorded).
+
+        ``block[i][s]`` goes to window slot ``s`` of track
+        ``start_track + i``; the block is one row per track, each as
+        wide as the window. Checked whole before any track changes.
+        """
+        values = np.asarray(block)
+        lo, hi = self.window
+        if values.ndim != 2 or values.shape[1] != hi - lo + 1:
+            raise ValueError(
+                f"block must be (tracks, {hi - lo + 1}), got {values.shape}"
+            )
+        stop = start_track + len(values)
+        if start_track < 0 or stop > self.tracks:
+            raise ValueError(
+                f"tracks [{start_track}, {stop}) outside [0, {self.tracks})"
+            )
+        values = as_bit_row(values.reshape(-1)).reshape(values.shape)
+        self._domains[start_track:stop, lo : hi + 1] = values
+
     # ------------------------------------------------------------------
     # lockstep device operations (cost-recorded at cluster level)
 
@@ -313,9 +364,12 @@ class DomainBlockCluster:
             self.shift(1 if delta > 0 else -1, abs(delta))
         return abs(delta)
 
-    def read_row(self, port_index: int = 0) -> List[int]:
-        """Orthogonal read of the aligned row on every track (one cycle)."""
-        bits = self._domains[:, self._columns[port_index]].tolist()
+    def read_row(self, port_index: int = 0) -> np.ndarray:
+        """Orthogonal read of the aligned row on every track (one cycle).
+
+        Returns a ``uint8`` array, one bit per track.
+        """
+        bits = self._domains[:, self._columns[port_index]].copy()
         p = self.params.read
         self.stats.record("read", p.cycles, p.energy_pj * self.tracks)
         return bits
@@ -355,29 +409,91 @@ class DomainBlockCluster:
         return level
 
     def transverse_read_tracks(self, tracks: Sequence[int]) -> List[int]:
-        """TR several tracks in the same cycle.
+        """TR several tracks in the same cycle, each at TR energy.
 
-        Used by blocksize-packed addition (Section III-E): the walks of
-        independent blocks advance in lockstep, so the per-step TRs of
-        different blocks share one cycle while each consumes TR energy.
+        This is one step's sense of a blocksize-packed addition (Section
+        III-E). Addition walks go through :meth:`carry_walk` instead; the
+        op stays public for perfbench's wrapped layer names and for the
+        reference-model tests.
         """
         levels = self._sense(self._window_levels(list(tracks)))
         self._record_tr(len(levels))
         return levels
 
-    def transverse_write_row(self, bits: Sequence[int]) -> List[int]:
+    def carry_walk(self, starts: Sequence[int], steps: int) -> List[List[int]]:
+        """Walk the carry chain of Fig. 6 over blocks of tracks.
+
+        Block ``b`` spans tracks ``[starts[b], starts[b] + steps)``. Step
+        ``k`` is one cycle: a TR of track ``starts[b] + k`` of every
+        block, then the PIM block writes the level's binary digits where
+        :func:`carry_outputs` places them, with a super carry C' when
+        the window has one (:attr:`super_carry`).
+
+        Each step records what its separate ops would, in their order:
+        one TR of the blocks' tracks, one ``write_bit`` per digit
+        written and a one-cycle ``carry_write`` tick. Its TRs draw
+        faults and vote as :meth:`transverse_read_tracks` does. Returns
+        each block's bits under the left head -- its sum, LSB first.
+        """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
+        if not starts:
+            raise ValueError("a walk needs at least one block")
+        lo, hi = self._tr_window()
+        first = min(starts)
+        last = max(starts) + steps
+        if first < 0 or last > self.tracks:
+            raise ValueError(
+                f"walk over tracks [{first}, {last}) outside [0, {self.tracks})"
+            )
+        # The walked tracks' window, one list per track; only the two
+        # head columns change, and they go back as two slices.
+        window = self._domains[first:last, lo : hi + 1].tolist()
+        top = hi - lo
+        columns = (0, top)  # port -> column of the copy
+        super_carry = self.super_carry
+        bases = [start - first for start in starts]
+        ends = [base + steps for base in bases]
+        n = max(1, self.tr_vote_reads)
+        p = self.params.transverse_read
+        tr = ("transverse_read", p.cycles * n, p.energy_pj * len(starts) * n)
+        voted = p.cycles * (n - 1)
+        write = ("write_bit", 0, self.params.write.energy_pj)
+        tick = ("carry_write", 1, 0.0)
+        records: List[Tuple[str, int, float]] = []
+        record = records.append
+        try:
+            for step in range(steps):
+                levels = self._sense([sum(window[b + step]) for b in bases])
+                record(tr)
+                if voted:
+                    self.vote_stats.overhead_cycles += voted
+                for base, end, level in zip(bases, ends, levels):
+                    for track, port, bit in carry_outputs(
+                        base + step, end, level, super_carry
+                    ):
+                        window[track][columns[port]] = bit
+                        record(write)
+                record(tick)
+        finally:
+            self._domains[first:last, lo] = [row[0] for row in window]
+            self._domains[first:last, hi] = [row[top] for row in window]
+            self.stats.record_batch(records)
+        return [[row[0] for row in window[b:e]] for b, e in zip(bases, ends)]
+
+    def transverse_write_row(self, bits: Sequence[int]) -> np.ndarray:
         """TW a full row: write under the left head, segment-shift right.
 
         Domains strictly between the heads advance one position toward
-        the right head on every track. Returns the row ejected under the
-        right head (Fig. 9).
+        the right head on every track. Returns the ``uint8`` row ejected
+        under the right head (Fig. 9).
         """
         values = self._bits(bits)
         lo, hi = self.window
         if lo >= hi:
             raise ValueError("transverse write requires left port left of right")
         domains = self._domains
-        ejected = domains[:, hi].tolist()
+        ejected = domains[:, hi].copy()
         domains[:, lo + 1 : hi + 1] = domains[:, lo:hi]
         domains[:, lo] = values
         p = self.params.transverse_write
@@ -511,18 +627,23 @@ class DomainBlockCluster:
             )
         return as_bit_row(bits)
 
-    def _window_levels(self, tracks: Union[slice, List[int]]) -> List[int]:
-        """Count of '1's in the TR window of each given track (no faults)."""
+    def _tr_window(self) -> Tuple[int, int]:
+        """The window a TR spans, checked to fit the TRD."""
         lo, hi = self.window
         if hi - lo + 1 > self.params.trd:
             raise ValueError(
                 f"TR window of {hi - lo + 1} domains exceeds "
                 f"TRD={self.params.trd}"
             )
+        return lo, hi
+
+    def _window_levels(self, tracks: Union[slice, List[int]]) -> List[int]:
+        """Count of '1's in the TR window of each given track (no faults)."""
+        lo, hi = self._tr_window()
         domains = self._domains
         if isinstance(tracks, list) and len(tracks) <= _FEW_TRACKS:
-            # A handful of requested tracks (one per block of an addition
-            # walk): numpy's fixed cost per call outweighs short sums.
+            # A handful of requested tracks (the single-track TRs of max
+            # and NMR): numpy's fixed cost per call outweighs short sums.
             return [sum(domains[t, lo : hi + 1].tolist()) for t in tracks]
         window = domains[tracks, lo : hi + 1]
         return window.sum(axis=-1).tolist()

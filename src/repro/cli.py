@@ -1104,6 +1104,17 @@ _PROBABILITY = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _NONZERO_PROBABILITY = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
+def _sampling_ms(text: str) -> float:
+    """Milliseconds no shorter than the sampling profiler's floor."""
+    from repro.telemetry.profiler import SamplingProfiler
+
+    floor_ms = 1000 * SamplingProfiler.MIN_INTERVAL_S
+    return _checked(float, lambda v: v >= floor_ms, f">= {floor_ms:g}")(text)
+
+
+_sampling_ms.__name__ = "float"  # as _checked names it for argparse
+
+
 # The names and specs below are checked by the modules that use them,
 # imported on first use: building the parser imports no command's code.
 
@@ -1581,8 +1592,9 @@ def _profile_flags(p: argparse.ArgumentParser) -> None:
         help="append the coruscant-profile/1 JSONL record to PATH",
     )
     p.add_argument(
-        "--profile-interval-ms", type=_POSITIVE, default=5.0, metavar="MS",
-        help="wall sampling interval in milliseconds (default 5)",
+        "--profile-interval-ms", type=_sampling_ms, default=5.0, metavar="MS",
+        help="wall sampling interval in milliseconds, no shorter than the "
+             "profiler's floor (default 5)",
     )
     p.add_argument(
         "--virtual-clock", action="store_true",

@@ -22,8 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.arch.dbc import DomainBlockCluster
-from repro.core.pim_logic import adder_outputs
-from repro.utils.bitops import bits_from_int, bits_to_int, word_row
+from repro.utils.bitops import bits_to_int, word_row
 
 
 def max_addition_operands(trd: int) -> int:
@@ -69,11 +68,10 @@ class MultiOperandAdder:
         self.dbc = dbc
         self.trd = dbc.window_size
         self.max_operands = max_addition_operands(self.trd)
-        self.uses_super_carry = self.trd > 3
         # Slot layout: with a super carry, slot 0 carries C' in (and S
         # out); operands sit in slots 1..max_operands. Without one,
         # operands sit in slots 0..1. The last slot always carries C in.
-        self.operand_base_slot = 1 if self.uses_super_carry else 0
+        self.operand_base_slot = 1 if dbc.super_carry else 0
         self.carry_slot = self.trd - 1
 
     # ------------------------------------------------------------------
@@ -101,13 +99,15 @@ class MultiOperandAdder:
                 raise ValueError(
                     f"operand {i} ({word}) does not fit in {n_bits} bits"
                 )
-        for slot in range(self.trd):
-            idx = slot - self.operand_base_slot
-            if 0 <= idx < k:
-                bits = bits_from_int(words[idx], n_bits)
-            else:
-                bits = []
-            self._poke_block_slot(slot, bits, start_track, width)
+        # Operand i's bits, LSB first, go down slot base + i of the block.
+        size = n_bits // 8 + 1
+        raw = b"".join(int(word).to_bytes(size, "little") for word in words)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        shown = min(n_bits, width)
+        base = self.operand_base_slot
+        block = np.zeros((width, self.trd), dtype=np.uint8)
+        block[:shown, base : base + k] = bits.reshape(k, -1)[:, :shown].T
+        self.dbc.poke_window_block(start_track, block)
 
     def stage_rows(self, rows: Sequence[Sequence[int]]) -> None:
         """Place already-materialised track rows into the operand slots.
@@ -148,14 +148,15 @@ class MultiOperandAdder:
             for i, row in enumerate(reversed(rows)):
                 self.dbc.write_row(row, port_index=0)
                 last = i == k - 1
-                if not last or self.uses_super_carry:
+                if not last or self.dbc.super_carry:
                     self.dbc.shift(1)
             # Non-operand window slots come from the Fig. 7 zero preset —
             # zero cost, the preset rows are maintained between operations.
             base = self.operand_base_slot
+            zero = np.zeros(self.dbc.tracks, dtype=np.uint8)
             for slot in range(self.trd):
                 if not base <= slot < base + k:
-                    self._poke_block_slot(slot, [], 0, self.dbc.tracks)
+                    self.dbc.poke_window_slot(slot, zero)
             span.annotate(cycles=self.dbc.stats.cycles - before)
         return self.dbc.stats.cycles - before
 
@@ -187,23 +188,11 @@ class MultiOperandAdder:
         with self.dbc.tracer.span(
             "add.walk", category="core", operands=n_operands, blocks=blocks
         ) as span:
-            for step in range(result_bits):
-                tracks = [
-                    start_track + b * stride + step for b in range(blocks)
-                ]
-                levels = self.dbc.transverse_read_tracks(tracks)
-                for b, (track, level) in enumerate(zip(tracks, levels)):
-                    s, c, c_prime = adder_outputs(level)
-                    block_end = start_track + b * stride + result_bits
-                    self._write_outputs(track, s, c, c_prime, block_end)
-                self.dbc.tick(1, "carry_write")
+            starts = [start_track + b * stride for b in range(blocks)]
+            sums = self.dbc.carry_walk(starts, result_bits)
             cycles = self.dbc.stats.cycles - before
             span.annotate(cycles=cycles)
-        sums = self.dbc.peek_window_slot(self._sum_slot())
-        values = []
-        for b in range(blocks):
-            base = start_track + b * stride
-            values.append(bits_to_int(sums[base : base + result_bits]))
+        values = [bits_to_int(bits) for bits in sums]
         return AdditionResult(values=values, cycles=cycles, staging_cycles=0)
 
     def add_words(
@@ -236,26 +225,6 @@ class MultiOperandAdder:
     # ------------------------------------------------------------------
     # internals
 
-    def _sum_slot(self) -> int:
-        """Window slot where sum bits accumulate (the left head)."""
-        return 0
-
-    def _write_outputs(
-        self, track: int, s: int, c: int, c_prime: int, block_end: int
-    ) -> None:
-        """Simultaneous S/C/C' writes of one step (one cycle, 3 ports)."""
-        if c_prime and not self.uses_super_carry:
-            raise AssertionError(
-                "super carry cannot occur when counts stay below 4"
-            )
-        # S lands under the left head, C under the right head (the carry
-        # slot) of the next track, C' under the left head two tracks up.
-        self.dbc.write_bit(track, 0, s)
-        if track + 1 < block_end:
-            self.dbc.write_bit(track + 1, 1, c)
-        if self.uses_super_carry and track + 2 < block_end:
-            self.dbc.write_bit(track + 2, 0, c_prime)
-
     def _check_operand_count(self, k: int) -> int:
         if not 1 <= k <= self.max_operands:
             raise ValueError(
@@ -270,12 +239,3 @@ class MultiOperandAdder:
                 f"block [{start}, {start + width}) outside "
                 f"[0, {self.dbc.tracks})"
             )
-
-    def _poke_block_slot(
-        self, slot: int, bits: Sequence[int], start: int, width: int
-    ) -> None:
-        """Set window slot ``slot`` over the block, zero-filling past bits."""
-        row = self.dbc.peek_window_slot(slot)
-        bits = list(bits[:width])
-        row[start : start + width] = bits + [0] * (width - len(bits))
-        self.dbc.poke_window_slot(slot, row)

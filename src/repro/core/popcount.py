@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.addition import MultiOperandAdder
-from repro.utils.bitops import word_row
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,31 @@ class PopcountUnit:
         groups = np.zeros((n_groups, self.trd), dtype=np.uint8)
         groups.reshape(-1)[: len(row)] = row
         counts: List[int] = []
-        # Sense groups in batches of `tracks` parallel TRs.
+        staged = 0
+        # Sense groups in batches of `tracks` parallel TRs, group g of a
+        # batch on track g and zeros on the tracks above the batch.
         for start in range(0, n_groups, tracks):
             batch = groups[start : start + tracks]
-            slot_row = np.zeros(tracks, dtype=np.uint8)
-            for slot in range(self.trd):
-                slot_row[: len(batch)] = batch[:, slot]
-                self.dbc.poke_window_slot(slot, slot_row)
+            staged = len(batch)
+            block = np.zeros((tracks, self.trd), dtype=np.uint8)
+            block[:staged] = batch
+            self.dbc.poke_window_block(0, block)
             levels = self.dbc.transverse_read_all()
-            counts.extend(levels[: len(batch)])
-        total = self._sum_counts(counts)
+            counts.extend(levels[:staged])
+        total = self._sum_counts(counts, staged)
         return PopcountResult(
             count=total,
             cycles=self.dbc.stats.cycles - before,
             groups=n_groups,
         )
 
-    def _sum_counts(self, counts: List[int]) -> int:
-        """Accumulate group counts with chained multi-operand adds."""
+    def _sum_counts(self, counts: List[int], staged: int) -> int:
+        """Accumulate group counts with chained multi-operand adds.
+
+        Window tracks from ``staged`` up hold zeros from the group
+        staging, and no add reaches them, so each add stages only the
+        tracks below.
+        """
         width = max(8, (sum(counts)).bit_length() + 2)
         if width > self.dbc.tracks:
             raise ValueError(
@@ -103,8 +109,9 @@ class PopcountUnit:
             if len(group) == 1:
                 acc = group[0]
             else:
-                rows = [word_row(g, width, self.dbc.tracks) for g in group]
-                self.adder.stage_rows(rows)
-                acc = self.adder.run(len(rows), width).value
+                self.adder.stage_words(
+                    group, width, zero_extend_to=max(width, staged)
+                )
+                acc = self.adder.run(len(group), width).value
             first = False
         return acc

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.arch.dbc import DomainBlockCluster
+from repro.arch.dbc import DomainBlockCluster, carry_outputs
 from repro.core.addition import MultiOperandAdder
 from repro.core.pim_logic import adder_outputs
 from repro.device.faults import FaultConfig, FaultInjector
@@ -117,6 +117,7 @@ class RedundantAdder:
     def _per_step(self, k: int, n_bits: int) -> RedundantAddResult:
         """Walk all replicas bit by bit, scrubbing S/C/C' majorities."""
         votes = 0
+        super_carry = self.replicas[0].super_carry
         for step in range(n_bits):
             outputs = []
             for dbc in self.replicas:
@@ -126,8 +127,11 @@ class RedundantAdder:
             c = self._majority([o[1] for o in outputs])
             cp = self._majority([o[2] for o in outputs])
             votes += 1
-            for dbc, adder in zip(self.replicas, self.adders):
-                adder._write_outputs(step, s, c, cp, block_end=n_bits)
+            # The voted digits, written as the PIM block writes a level's.
+            writes = carry_outputs(step, n_bits, s | c << 1 | cp << 2, super_carry)
+            for dbc in self.replicas:
+                for track, port, bit in writes:
+                    dbc.write_bit(track, port, bit)
                 dbc.tick(1, "carry_write")
             # The vote itself costs one extra cycle per step.
             for dbc in self.replicas:

@@ -25,6 +25,7 @@ Model conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.device.faults import FaultInjector
@@ -54,8 +55,13 @@ def default_overhead(num_data: int, port_positions: Sequence[int]) -> Tuple[int,
 
     This reproduces the paper's accounting (Section III-A): for Y = 32 and
     ports at data positions 14 and 20 the overhead is 11 + 14 = 25.
+    Memoised: every cluster of a memory asks the same question.
     """
-    ports = sorted(port_positions)
+    return _overhead(num_data, tuple(sorted(port_positions)))
+
+
+@lru_cache(maxsize=256)
+def _overhead(num_data: int, ports: Tuple[int, ...]) -> Tuple[int, int]:
     left_need = 0
     right_need = 0
     for row in range(num_data):

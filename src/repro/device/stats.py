@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import runtime as _telemetry
 
@@ -61,6 +61,45 @@ class DeviceStats:
         )
         self.cycles += total_cycles
         self.energy_pj += total_energy
+
+    def record_batch(self, records: Sequence[Tuple[str, int, float]]) -> None:
+        """Record one occurrence of each ``(op, cycles, energy_pj)``.
+
+        The same sums as calling :meth:`record` once per entry, in
+        order, so every float total is bit-identical to the unbatched
+        calls.
+        """
+        if not records:
+            return
+        if (
+            self.sink is None
+            and _telemetry._ACTIVE is not None
+            and self.scope is None
+        ):
+            _telemetry.adopt(self)
+        cycles = self.cycles
+        energy = self.energy_pj
+        # op -> [count, cycles, energy], each op's running sums.
+        sums: Dict[str, List[Any]] = {}
+        for op, c, e in records:
+            cycles += c
+            energy += e
+            row = sums.get(op)
+            if row is None:
+                row = sums[op] = [
+                    self.op_counts.get(op, 0),
+                    self.op_cycles.get(op, 0),
+                    self.op_energy_pj.get(op, 0.0),
+                ]
+            row[0] += 1
+            row[1] += c
+            row[2] += e
+        for op, (n, c, e) in sums.items():
+            self.op_counts[op] = n
+            self.op_cycles[op] = c
+            self.op_energy_pj[op] = e
+        self.cycles = cycles
+        self.energy_pj = energy
 
     def merge(self, other: "DeviceStats") -> None:
         """Fold another stats object into this one (breakdowns included)."""

@@ -506,15 +506,19 @@ class Gateway:
                 400, "bad_request", message="body must be a JSON object"
             )
         interval_ms = body.get("interval_ms", 5.0)
+        floor_ms = 1000 * SamplingProfiler.MIN_INTERVAL_S
         limit_ms = 1000 * SamplingProfiler.MAX_INTERVAL_S
         if (
             isinstance(interval_ms, bool)
             or not isinstance(interval_ms, (int, float))
-            or not 0 < interval_ms <= limit_ms
+            or not floor_ms <= interval_ms <= limit_ms
         ):
             return _rejected(
                 400, "bad_request",
-                message=f"'interval_ms' must be a number in (0, {limit_ms:g}]",
+                message=(
+                    f"'interval_ms' must be a number in "
+                    f"[{floor_ms:g}, {limit_ms:g}]"
+                ),
             )
         self._profiler = SamplingProfiler(
             interval_s=float(interval_ms) / 1000.0,

@@ -175,6 +175,9 @@ class SamplingProfiler:
     request's ledger entry.
     """
 
+    #: The shortest interval: below it the sampling thread spins,
+    #: holding a core and the interpreter lock.
+    MIN_INTERVAL_S = 0.001
     #: The longest wait the sampling thread's ``Event.wait`` accepts.
     MAX_INTERVAL_S = threading.TIMEOUT_MAX
 
@@ -184,10 +187,10 @@ class SamplingProfiler:
         tracer=None,
         frames_fn: Callable[[], Dict[int, Any]] = sys._current_frames,
     ) -> None:
-        if not 0 < interval_s <= self.MAX_INTERVAL_S:
+        if not self.MIN_INTERVAL_S <= interval_s <= self.MAX_INTERVAL_S:
             raise ValueError(
-                f"interval_s must be in (0, {self.MAX_INTERVAL_S}], "
-                f"got {interval_s}"
+                f"interval_s must be in [{self.MIN_INTERVAL_S}, "
+                f"{self.MAX_INTERVAL_S}], got {interval_s}"
             )
         self.interval_s = interval_s
         self.tracer = tracer

@@ -69,7 +69,7 @@ class TestLockstepOps:
         bits = [1, 1, 0, 0, 1, 0, 1, 0]
         dbc.align(10, 0)
         dbc.write_row(bits, 0)
-        assert dbc.read_row(0) == bits
+        assert dbc.read_row(0).tolist() == bits
 
     def test_row_width_checked(self):
         dbc = make_dbc(tracks=8)
@@ -157,8 +157,12 @@ class TestRejectedRows:
             lambda dbc, row: dbc.transverse_write_row(row),
             lambda dbc, row: dbc.poke_row(5, row),
             lambda dbc, row: dbc.poke_window_slot(2, row),
+            lambda dbc, row: dbc.poke_window_block(1, [row[:7], row[1:]]),
         ],
-        ids=["write_row", "transverse_write_row", "poke_row", "poke_window_slot"],
+        ids=[
+            "write_row", "transverse_write_row", "poke_row", "poke_window_slot",
+            "poke_window_block",
+        ],
     )
     @pytest.mark.parametrize("bad", [2, -1, 0.5, "1"])
     def test_state_unchanged(self, call, bad):
@@ -196,7 +200,7 @@ class TestTransverseOps:
         dbc = make_dbc(tracks=4)
         dbc.poke_window_slot(6, [1, 1, 1, 1])
         ejected = dbc.transverse_write_row([0, 1, 0, 1])
-        assert ejected == [1, 1, 1, 1]
+        assert ejected.tolist() == [1, 1, 1, 1]
         assert dbc.peek_window_slot(0) == [0, 1, 0, 1]
 
     def test_overhead_override(self):
@@ -229,4 +233,4 @@ class TestLongNanowires:
         )
         dbc.poke_row(64, [1, 0, 1, 0])
         dbc.align(64, 0)
-        assert dbc.read_row(0) == [1, 0, 1, 0]
+        assert dbc.read_row(0).tolist() == [1, 0, 1, 0]

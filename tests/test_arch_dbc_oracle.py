@@ -6,7 +6,9 @@ seeded :class:`FaultInjector`, driven in track order. Random op
 sequences run on both, and after every op the return value (or the
 exception type), each track's physical domains and offset, the commanded
 offset, the cost stats, the vote stats and the injector's RNG position
-must agree.
+must agree. Whole carry walks (Fig. 6) and block stagings are among
+the ops: the reference runs a walk as the per-step TRs, ``write_bit``s
+and ticks it stands for.
 """
 
 from typing import Any, List, Tuple
@@ -156,6 +158,44 @@ class ReferenceCluster:
         self.wires[track].write(port_index, bit, record=False)
         self.stats.record("write_bit", 0, self.params.write.energy_pj)
 
+    def poke_window_block(self, start_track, block):
+        lo, hi = self.window
+        if any(len(row) != hi - lo + 1 for row in block):
+            raise ValueError("block rows must be as wide as the window")
+        if start_track < 0 or start_track + len(block) > self.tracks:
+            raise ValueError("block outside the cluster's tracks")
+        if any(bit not in (0, 1) for row in block for bit in row):
+            raise ValueError("block holds a non-bit")
+        for track, row in enumerate(block, start_track):
+            for slot, bit in enumerate(row):
+                self.wires[track].poke_physical(lo + slot, bit)
+
+    def carry_walk(self, starts, steps):
+        # The per-step sequence a walk stands for: each block's TR in one
+        # batch, the S/C/C' writes block by block, then the step's tick.
+        # Only a window that can count to 4 has a super carry.
+        if steps < 0 or not starts:
+            raise ValueError("a walk needs blocks and steps >= 0")
+        if min(starts) < 0 or max(starts) + steps > self.tracks:
+            raise ValueError("walk outside the cluster's tracks")
+        lo, hi = self.window
+        super_carry = hi - lo + 1 > 3
+        for step in range(steps):
+            tracks = [start + step for start in starts]
+            levels = self.transverse_read_tracks(tracks)
+            for start, track, level in zip(starts, tracks, levels):
+                end = start + steps
+                self.write_bit(track, 0, level & 1)
+                if track + 1 < end:
+                    self.write_bit(track + 1, 1, level >> 1 & 1)
+                if super_carry and track + 2 < end:
+                    self.write_bit(track + 2, 0, level >> 2 & 1)
+            self.stats.record("carry_write", 1, 0.0)
+        return [
+            [self.wires[t].peek_physical(lo) for t in range(start, start + steps)]
+            for start in starts
+        ]
+
     @property
     def misaligned_tracks(self):
         return [
@@ -200,6 +240,25 @@ DOMAINS = (8, 32)
 
 
 @st.composite
+def walks(draw, tracks):
+    """A ``carry_walk`` op: blocks at a stride and steps.
+
+    Half of them are made to fit the cluster's tracks.
+    """
+    steps = draw(st.integers(0, 12))
+    blocks = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        steps = min(steps, tracks)
+        start = draw(st.integers(0, tracks - steps))
+        blocks = min(blocks, (tracks - steps - start) // stride + 1)
+    else:
+        start = draw(st.integers(0, tracks))
+    starts = [start + b * stride for b in range(blocks)]
+    return ("carry_walk", starts, steps)
+
+
+@st.composite
 def scenarios(draw):
     trd = draw(st.sampled_from((3, 5, 7)))
     tracks = draw(st.integers(1, 70))
@@ -213,6 +272,12 @@ def scenarios(draw):
     )
     track = st.integers(0, tracks - 1)
     port = st.integers(0, 1)
+    slots = st.lists(bit, min_size=window, max_size=window)
+    block = st.one_of(
+        st.lists(slots, min_size=1, max_size=12),
+        st.lists(slots, min_size=1, max_size=12),
+        st.lists(st.lists(bit, min_size=window + 1, max_size=window + 1), min_size=1, max_size=2),
+    )
     op = st.one_of(
         st.tuples(st.just("shift"), st.sampled_from((1, -1)), st.integers(0, 6)),
         st.tuples(st.just("align"), st.integers(0, domains - 1), port),
@@ -227,6 +292,9 @@ def scenarios(draw):
         st.tuples(st.just("transverse_read_tracks"), st.lists(track, max_size=6)),
         st.tuples(st.just("transverse_write_row"), row),
         st.tuples(st.just("write_bit"), track, port, bit),
+        walks(tracks),
+        walks(tracks),
+        st.tuples(st.just("poke_window_block"), st.integers(-1, max(0, tracks - 4)), block),
         st.tuples(st.just("position_error_check")),
         st.tuples(st.just("realign")),
         st.tuples(st.just("snapshot")),
@@ -259,7 +327,10 @@ def _apply(cluster, op: Tuple, saved: List[Any]) -> Tuple[str, Any]:
         if name == "rates":
             cluster.injector.set_rates(*args)
             return ("ok", None)
-        return ("ok", getattr(cluster, name)(*args))
+        result = getattr(cluster, name)(*args)
+        if hasattr(result, "tolist"):
+            result = result.tolist()  # rows read back as uint8 arrays
+        return ("ok", result)
     except (ValueError, DataLossError) as exc:
         return ("raised", type(exc))
 
@@ -340,8 +411,8 @@ def test_sequences_reach_aborted_shifts():
 @pytest.mark.parametrize("seed", range(3))
 def test_faulted_campaign_shape_matches(seed):
     # A long faulted run at a campaign's geometry: shifts, voted reads,
-    # checks and realigns interleaved as the resilient executor issues
-    # them.
+    # whole four-block walks, checks and realigns interleaved as the
+    # resilient executor issues them.
     ops = []
     for i in range(60):
         ops += [
@@ -349,6 +420,7 @@ def test_faulted_campaign_shape_matches(seed):
             ("transverse_read_all",),
             ("transverse_read_tracks", [0, 16, 32, 48]),
             ("write_bit", (5 * i) % 64, 0, i % 2),
+            ("carry_walk", [0, 16, 32, 48], 12),
             ("position_error_check",),
             ("realign",),
         ]

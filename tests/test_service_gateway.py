@@ -992,6 +992,23 @@ class TestHttpBoundary:
         )
         assert (status, body["interval_ms"]) == (200, 2.0)
 
+    @pytest.mark.parametrize("interval_ms", [b"1e-9", b"0.5"])
+    def test_interval_below_the_sampling_floor_is_400(self, served, interval_ms):
+        # A sub-millisecond sampler spins a core under the interpreter lock.
+        status, body, _ = self.answer(
+            served,
+            _post("/debug/profile/start", b'{"interval_ms": ' + interval_ms + b"}"),
+        )
+        assert status == 400 and body["error"] == "bad_request"
+        assert "[1, " in body["message"]
+        assert served[1]._profiler is None
+
+    def test_interval_at_the_sampling_floor_starts_the_profiler(self, served):
+        status, body, _ = self.answer(
+            served, _post("/debug/profile/start", b'{"interval_ms": 1}')
+        )
+        assert (status, body["interval_ms"]) == (200, 1.0)
+
     @staticmethod
     def check(served, raw):
         try:

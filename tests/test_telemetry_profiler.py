@@ -209,6 +209,31 @@ class TestSampleOnce:
         with pytest.raises(ValueError):
             SamplingProfiler(interval_s=0)
 
+    @pytest.mark.parametrize("interval_s", [1e-12, 1e-6, 0.0005])
+    def test_interval_below_the_floor_is_refused(self, interval_s):
+        # Shorter waits spin the sampling thread on a core.
+        with pytest.raises(ValueError):
+            SamplingProfiler(interval_s=interval_s)
+        assert SamplingProfiler(
+            interval_s=SamplingProfiler.MIN_INTERVAL_S
+        ).interval_s == SamplingProfiler.MIN_INTERVAL_S
+
+    def test_cli_flag_refuses_the_same_intervals(self, capsys):
+        from repro import cli
+
+        floor_ms = 1000 * SamplingProfiler.MIN_INTERVAL_S
+        for ms in (floor_ms / 2, 1e-9):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([
+                    "profile", "add", "1", "2", "--profile-interval-ms", repr(ms),
+                ])
+            assert exc.value.code == 2
+            assert "--profile-interval-ms: must be >= 1" in capsys.readouterr().err
+        args = cli.build_parser().parse_args(
+            ["profile", "add", "1", "2", "--profile-interval-ms", repr(floor_ms)]
+        )
+        assert args.profile_interval_ms == floor_ms
+
     @pytest.mark.parametrize(
         "interval_s", [float("nan"), float("inf"), threading.TIMEOUT_MAX * 2]
     )
