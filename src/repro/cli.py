@@ -535,10 +535,12 @@ EXIT_INCOMPLETE_SHARDS = EXIT_DEGRADED
 
 
 def _campaign_config(args):
+    from repro.core.addition import max_addition_operands
     from repro.reliability.campaign import CampaignConfig
 
     return CampaignConfig(
         ops=args.ops,
+        operands=max_addition_operands(args.trd),
         tr_fault_rate=args.fault_rate,
         shift_fault_rate=args.shift_fault_rate,
         trd=args.trd,

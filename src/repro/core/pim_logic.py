@@ -49,6 +49,14 @@ def adder_outputs(level: int) -> Tuple[int, int, int]:
     return s, c, c_prime
 
 
+class InconsistentLevelError(ValueError):
+    """A TR level the operands and their Fig. 7 padding cannot produce.
+
+    The staged rows cannot sense that level, so the TR was misread: a
+    detected device fault, not a bad argument.
+    """
+
+
 class PimLogicBlock:
     """Per-bitline logic evaluating bulk ops of the TR level.
 
@@ -74,7 +82,7 @@ class PimLogicBlock:
         padding_ones = self._padding_ones(op, operands)
         data_ones = level - padding_ones
         if not 0 <= data_ones <= operands:
-            raise ValueError(
+            raise InconsistentLevelError(
                 f"TR level {level} inconsistent with {operands} operands "
                 f"and {padding_ones} padded ones (expected padding per Fig. 7)"
             )

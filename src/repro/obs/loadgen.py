@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.service.kernels import CATALOGUE
+from repro.service.profiles import DeviceProfile
 from repro.service.protocol import (
     PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
@@ -40,58 +42,6 @@ LOADBENCH_SCHEMA = "coruscant-loadbench/1"
 #: Fraction of requests tagged batch priority (the rest interactive).
 _BATCH_FRACTION = 0.2
 
-
-# ----------------------------------------------------------------------
-# payload generators (one per kernel, all drawing from the shared rng)
-
-
-def _payload_add(rng) -> Dict[str, Any]:
-    n_bits = 8
-    words = [rng.randrange(1 << n_bits) for _ in range(rng.randint(2, 5))]
-    return {"words": words, "n_bits": n_bits}
-
-
-def _payload_multiply(rng) -> Dict[str, Any]:
-    n_bits = 8
-    return {
-        "a": rng.randrange(1 << n_bits),
-        "b": rng.randrange(1 << n_bits),
-        "n_bits": n_bits,
-    }
-
-
-def _payload_popcount(rng) -> Dict[str, Any]:
-    width = rng.randint(8, 32)
-    return {"bits": [rng.randint(0, 1) for _ in range(width)]}
-
-
-def _payload_bulk_op(rng) -> Dict[str, Any]:
-    op = rng.choice(("AND", "OR", "XOR", "NOR"))
-    rows = rng.randint(2, 4)
-    width = rng.randint(4, 16)
-    return {
-        "op": op,
-        "operands": [
-            [rng.randint(0, 1) for _ in range(width)] for _ in range(rows)
-        ],
-    }
-
-
-def _payload_bitmap_query(rng) -> Dict[str, Any]:
-    return {
-        "users": rng.randint(8, 32),
-        "weeks": rng.randint(1, 3),
-        "seed": rng.randrange(1 << 16),
-    }
-
-
-_PAYLOADS: Dict[str, Callable[[Any], Dict[str, Any]]] = {
-    "add": _payload_add,
-    "multiply": _payload_multiply,
-    "popcount": _payload_popcount,
-    "bulk-op": _payload_bulk_op,
-    "bitmap-query": _payload_bitmap_query,
-}
 
 #: Named load mixes: (kernel, weight) pairs. Weights need not sum to 1.
 LOAD_PROFILES: Dict[str, Tuple[Tuple[str, float], ...]] = {
@@ -144,11 +94,12 @@ def build_schedule(
     mix = LOAD_PROFILES[profile]
     kernels = [k for k, _w in mix]
     weights = [w for _k, w in mix]
+    device = DeviceProfile()
     rng = derive_stream(seed, f"loadbench.{profile}")
     schedule: List[ScheduledRequest] = []
     for index in range(requests):
         kernel = rng.choices(kernels, weights=weights, k=1)[0]
-        payload = _PAYLOADS[kernel](rng)
+        payload = CATALOGUE[kernel].payload(rng, device.trd, device.tracks)
         priority = (
             PRIORITY_BATCH
             if rng.random() < _BATCH_FRACTION

@@ -1,7 +1,7 @@
 """Coruscant-as-a-service: the resilient batched kernel gateway.
 
-Serves the repo's PIM kernels (add, multiply, bulk-op, popcount,
-bitmap-query, cnn-infer) behind admission control, deadlines,
+Serves the PIM kernels of the catalogue in
+:mod:`repro.service.kernels` behind admission control, deadlines,
 deterministic retry/backoff, per-device-profile circuit breakers, and
 graceful drain. Stdlib only — `asyncio` + HTTP/JSON.
 
@@ -15,9 +15,9 @@ from repro.service.breaker import RequestBreaker, RequestBreakerConfig
 from repro.service.client import ServiceClient
 from repro.service.dispatch import ProfileDispatcher, RetryConfig
 from repro.service.gateway import Gateway, run_gateway
+from repro.service.kernels import KERNELS
 from repro.service.profiles import DeviceProfile, default_profiles
 from repro.service.protocol import (
-    KERNELS,
     BadRequest,
     KernelFault,
     KernelRequest,

@@ -22,8 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, Optional, Tuple
 
+from repro.service.kernels import KERNELS
 from repro.service.protocol import (
-    KERNELS,
     PRIORITY_INTERACTIVE,
     KernelRequest,
     ServiceReject,

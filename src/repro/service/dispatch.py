@@ -35,7 +35,7 @@ from repro.chaos.hooks import ChaosWorkerCrash
 from repro.resilience.errors import BudgetExhaustedError
 from repro.service.admission import AdmissionPolicy, ProfileQueues
 from repro.service.breaker import RequestBreaker, RequestBreakerConfig
-from repro.service.kernels import RUNNERS, run_traced
+from repro.service.kernels import run_traced
 from repro.service.profiles import DeviceProfile
 from repro.telemetry.context import TraceContext
 from repro.telemetry.hub import TelemetryHub
@@ -174,8 +174,6 @@ class ProfileDispatcher:
         first (fail fast costs no queue slot), then the bounded queue.
         The returned future resolves to a :class:`ServiceResponse`.
         """
-        if request.kernel not in RUNNERS:
-            raise BadRequest(f"unknown kernel {request.kernel!r}")
         if request.deadline.expired:
             raise ServiceReject(
                 504, "deadline_exceeded", "budget expired before admission"

@@ -52,9 +52,9 @@ from repro.service.admission import AdmissionPolicy
 from repro.service.breaker import OPEN, RequestBreakerConfig
 from repro.service.dispatch import ProfileDispatcher, RetryConfig
 from repro.service.journal import RequestJournal
+from repro.service.kernels import KERNELS
 from repro.service.profiles import DeviceProfile, default_profiles
 from repro.service.protocol import (
-    KERNELS,
     PRIORITIES,
     PRIORITY_INTERACTIVE,
     BadRequest,

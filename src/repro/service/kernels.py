@@ -1,9 +1,12 @@
-"""The six kernels the gateway serves, each validated against a golden.
+"""The kernel catalogue: each served kernel's runner and payload generator.
 
-Each runner takes (system, payload, deadline), validates the payload
-(raising :class:`BadRequest` — never retried), computes the kernel on
-the worker's :class:`CoruscantSystem`, and checks the device answer
-against a host-side golden model. A mismatch means a fault escaped the
+Adding a kernel means adding one :class:`Kernel` to :data:`CATALOGUE`.
+A generator takes (rng, trd, tracks) and draws only payloads that device
+accepts; no cap binds at TRD 7 and 64 tracks, the default profile. A
+runner takes (system, payload, deadline), validates the payload (raising
+:class:`BadRequest` — never retried), computes the kernel on the
+worker's :class:`CoruscantSystem`, and checks the device answer against
+a host-side golden model. A mismatch means a fault escaped the
 device-level ladder silently; the runner surfaces it as a retryable
 :class:`KernelFault` with verdict ``corrupted`` so the dispatcher's
 retry loop gets a fresh shot instead of shipping a wrong answer.
@@ -18,10 +21,13 @@ check plus the dispatcher's retry loop.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.chaos import hooks as chaos_hooks
+from repro.core.addition import max_addition_operands
 from repro.core.isa import BLOCK_SIZES, Address, CpimInstruction, CpimOp
+from repro.core.pim_logic import InconsistentLevelError
+from repro.device.nanowire import DataLossError
 from repro.service.protocol import BadRequest, KernelFault
 from repro.telemetry.context import TraceContext, use_context
 from repro.telemetry.profiler import tag_thread
@@ -203,6 +209,11 @@ def run_multiply(
         raise BadRequest(f"n_bits must be in [1, 16], got {n_bits}")
     if not 0 <= a < (1 << n_bits) or not 0 <= b < (1 << n_bits):
         raise BadRequest(f"a and b must fit in {n_bits} bits")
+    tracks = system.memory.geometry.tracks_per_dbc
+    if 2 * n_bits > tracks:
+        raise BadRequest(
+            f"a {2 * n_bits}-bit product exceeds the DBC's {tracks} tracks"
+        )
     outcome = system.multiply(a, b, n_bits)
     golden = (a * b) % (1 << (2 * n_bits))
     if outcome.value != golden:
@@ -315,14 +326,75 @@ def run_cnn_infer(
     }
 
 
-RUNNERS: Dict[str, Callable[[Any, Dict[str, Any], Deadline], Dict]] = {
-    "add": run_add,
-    "multiply": run_multiply,
-    "bulk-op": run_bulk_op,
-    "popcount": run_popcount,
-    "bitmap-query": run_bitmap_query,
-    "cnn-infer": run_cnn_infer,
+# ----------------------------------------------------------------------
+# payload generators
+
+
+def _payload_add(rng, trd: int, tracks: int) -> Dict:
+    n_bits = 8
+    count = rng.randint(2, min(5, max_addition_operands(trd)))
+    words = [rng.randrange(1 << n_bits) for _ in range(count)]
+    if tracks < 16:
+        return {"words": words, "n_bits": n_bits, "blocksize": 8}
+    return {"words": words, "n_bits": n_bits}
+
+
+def _payload_multiply(rng, trd: int, tracks: int) -> Dict:
+    n_bits = min(8, tracks // 2)
+    return {
+        "a": rng.randrange(1 << n_bits),
+        "b": rng.randrange(1 << n_bits),
+        "n_bits": n_bits,
+    }
+
+
+def _payload_popcount(rng, trd: int, tracks: int) -> Dict:
+    width = rng.randint(8, min(32, tracks))
+    return {"bits": [rng.randint(0, 1) for _ in range(width)]}
+
+
+def _payload_bulk_op(rng, trd: int, tracks: int) -> Dict:
+    op = rng.choice(("AND", "OR", "XOR", "NOR"))
+    rows = rng.randint(2, min(4, trd))
+    width = rng.randint(4, min(16, tracks))
+    return {
+        "op": op,
+        "operands": [
+            [rng.randint(0, 1) for _ in range(width)] for _ in range(rows)
+        ],
+    }
+
+
+def _payload_bitmap_query(rng, trd: int, tracks: int) -> Dict:
+    return {
+        "users": rng.randint(8, min(32, tracks)),
+        "weeks": rng.randint(1, 3),
+        "seed": rng.randrange(1 << 16),
+    }
+
+
+def _payload_cnn_infer(rng, trd: int, tracks: int) -> Dict:
+    return {"seed": rng.randrange(1 << 16), "size": rng.randint(4, 6)}
+
+
+class Kernel(NamedTuple):
+    """One served kernel: its runner and its payload generator."""
+
+    run: Callable[[Any, Dict[str, Any], Deadline], Dict]
+    payload: Callable[[Any, int, int], Dict]
+
+
+#: Every served kernel, in admission round-robin order.
+CATALOGUE: Dict[str, Kernel] = {
+    "add": Kernel(run_add, _payload_add),
+    "multiply": Kernel(run_multiply, _payload_multiply),
+    "bulk-op": Kernel(run_bulk_op, _payload_bulk_op),
+    "popcount": Kernel(run_popcount, _payload_popcount),
+    "bitmap-query": Kernel(run_bitmap_query, _payload_bitmap_query),
+    "cnn-infer": Kernel(run_cnn_infer, _payload_cnn_infer),
 }
+
+KERNELS = tuple(CATALOGUE)
 
 
 def run_traced(
@@ -347,9 +419,7 @@ def run_traced(
     thread for the sampling profiler, so wall samples fold under
     ``profile:<name>;...``.
     """
-    runner = RUNNERS.get(kernel)
-    if runner is None:
-        raise BadRequest(f"unknown kernel {kernel!r}")
+    run = CATALOGUE[kernel].run
     with tag_thread(profile), use_context(context):
         with telemetry.tracer.span(
             "service.execute", category="service", kernel=kernel
@@ -362,11 +432,17 @@ def run_traced(
                 chaos_hooks.fire(
                     chaos_hooks.SITE_KERNEL_EXECUTE, kernel=kernel
                 )
-                result = runner(system, payload, deadline)
+                try:
+                    return run(system, payload, deadline)
+                except (InconsistentLevelError, OverflowError) as exc:
+                    # A TR level or a carry no fault-free run of a
+                    # validated payload can produce: a detected misread.
+                    raise KernelFault("misread", str(exc)) from exc
+                except DataLossError as exc:
+                    raise KernelFault("data_loss", str(exc)) from exc
             except KernelFault as exc:
                 span.annotate(verdict=exc.verdict)
                 raise
-            return result
 
 
-__all__ = ["RUNNERS", "run_traced"]
+__all__ = ["CATALOGUE", "KERNELS", "Kernel", "run_traced"]

@@ -1,6 +1,6 @@
 """Wire contract of the kernel gateway: requests, responses, rejections.
 
-Everything HTTP-shaped lives here — kernel names, priority classes,
+Everything HTTP-shaped lives here — priority classes,
 the response envelope, and the typed rejection exceptions the admission
 controller and breaker raise — so the transport
 (:mod:`repro.service.gateway`), the dispatcher
@@ -32,15 +32,6 @@ from repro.utils.deadline import Deadline
 
 SCHEMA = "coruscant-service/1"
 
-KERNELS = (
-    "add",
-    "multiply",
-    "bulk-op",
-    "popcount",
-    "bitmap-query",
-    "cnn-infer",
-)
-
 PRIORITY_INTERACTIVE = "interactive"
 PRIORITY_BATCH = "batch"
 PRIORITIES = (PRIORITY_INTERACTIVE, PRIORITY_BATCH)
@@ -55,8 +46,7 @@ class ServiceReject(Exception):
     Attributes:
         http_status: status code the transport must send.
         error: machine-readable reason (``queue_full``, ``breaker_open``,
-            ``draining``, ``deadline_exceeded``, ``bad_request``,
-            ``unknown_kernel``).
+            ``draining``, ``deadline_exceeded``, ``bad_request``).
         retry_after: backpressure hint in seconds (429/503 responses
             carry it as a ``Retry-After`` header too), or None.
     """
@@ -86,9 +76,10 @@ class KernelFault(Exception):
 
     ``verdict`` names what was seen — ``corrupted`` (golden mismatch:
     a silent fault escaped the device ladder), ``uncorrectable`` (the
-    resilient executor gave up), or ``data_loss`` (a faulty over-shift
-    ejected operand bits). All of them are worth a retry on a restored
-    system; none of them are the caller's fault.
+    resilient executor gave up), ``misread`` (a TR level or carry that
+    no fault-free run can produce), or ``data_loss`` (a faulty
+    over-shift ejected operand bits). All of them are worth a retry on
+    a restored system; none of them are the caller's fault.
     """
 
     def __init__(self, verdict: str, message: str) -> None:
@@ -173,7 +164,6 @@ def reject_response(
 
 __all__ = [
     "BadRequest",
-    "KERNELS",
     "KernelFault",
     "KernelRequest",
     "PRIORITIES",

@@ -123,6 +123,20 @@ class TestCampaignCommand:
             assert summary["completed"]
             assert summary["storage_wrong"] > 0
 
+    @pytest.mark.parametrize("trd, operands", [(3, 2), (5, 3)])
+    def test_campaign_adds_the_trd_operand_limit(
+        self, tmp_path, capsys, trd, operands
+    ):
+        journal = str(tmp_path / "journal.json")
+        base = ["campaign", "--ops", "30", "--trd", str(trd), "--json"]
+        assert main(base + ["--checkpoint", journal]) == 0
+        capsys.readouterr()
+        with open(journal) as fh:
+            assert json.load(fh)["fingerprint"]["operands"] == operands
+        assert main(base + ["--shards", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["operands"] == operands
+
     def test_checkpoint_resume_flow(self, tmp_path, capsys):
         path = str(tmp_path / "journal.json")
         base = ["campaign", "--ops", "30", "--fault-rate", "0.01",

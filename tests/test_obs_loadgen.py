@@ -1,5 +1,6 @@
 """The deterministic load generator and its CLI regression gate."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from repro.obs import (
     build_schedule,
     run_loadbench,
 )
-from repro.service.kernels import RUNNERS
+from repro.service.kernels import CATALOGUE
 from repro.service.protocol import PRIORITIES, ServiceResponse
 
 
@@ -30,11 +31,23 @@ class TestSchedule:
     def test_profiles_draw_only_known_kernels(self):
         for profile, mix in LOAD_PROFILES.items():
             allowed = {kernel for kernel, _weight in mix}
-            assert allowed <= set(RUNNERS)
+            assert allowed <= set(CATALOGUE)
             schedule = build_schedule(profile, 40, seed=1)
             assert {r.kernel for r in schedule} <= allowed
             assert {r.priority for r in schedule} <= set(PRIORITIES)
             assert [r.index for r in schedule] == list(range(40))
+
+    @pytest.mark.parametrize("mix, digest", [
+        ("analytics", "d385b06be1dfedfa"),
+        ("arithmetic", "77ce9639a4a12201"),
+        ("mixed", "6bfb5ecac0286e4e"),
+    ])
+    def test_seed_7_schedules_are_pinned(self, mix, digest):
+        # loadbench-smoke and the chaos campaign replay these schedules:
+        # a drawn bound or an rng draw that moves changes their bytes.
+        schedule = build_schedule(mix, 200, seed=7)
+        text = json.dumps([r.as_dict() for r in schedule], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_unknown_profile_and_bad_count_raise(self):
         with pytest.raises(ValueError, match="unknown load profile"):

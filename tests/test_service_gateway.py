@@ -20,13 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service.admission import AdmissionPolicy
-from repro.service.breaker import OPEN, RequestBreakerConfig
+from repro.service.breaker import CLOSED, OPEN, RequestBreakerConfig
 from repro.service.client import ServiceClient
 from repro.service.dispatch import RetryConfig
 from repro.service.gateway import _REASONS, Gateway, _BadHttp
+from repro.service.kernels import KERNELS
 from repro.service.profiles import DeviceProfile, default_profiles
 from repro.service.protocol import (
-    KERNELS,
     PRIORITY_BATCH,
     KernelRequest,
     ServiceReject,
@@ -253,6 +253,29 @@ class TestBreakerIsolation:
             )
             assert response.status == "ok"
             assert client.readyz()["ready"] is True
+
+    def test_product_wider_than_the_dbc_is_refused_not_a_fault(self):
+        # A bad payload is never device evidence: 30 of them leave the
+        # breaker closed for the valid request after them.
+        profiles = default_profiles(
+            {"small": DeviceProfile(name="small", tracks=8)}
+        )
+        gateway = Gateway(profiles=profiles, workers=1)
+        with ServiceClient(gateway=gateway) as client:
+            for _ in range(30):
+                response = client.request(
+                    "multiply", {"a": 173, "b": 219, "n_bits": 8},
+                    profile="small",
+                )
+                assert response.http_status == 400, response.body
+                assert response.body["error"] == "bad_request"
+            snap = gateway.dispatchers["small"].breaker.snapshot()
+            assert snap["state"] == CLOSED
+            response = client.request(
+                "multiply", {"a": 3, "b": 5, "n_bits": 4}, profile="small"
+            )
+            assert response.http_status == 200, response.body
+            assert response.body["result"]["product"] == 15
 
 
 class TestHttpServer:
@@ -603,14 +626,16 @@ class TestMetricsReadFromOwners:
 
         entered = threading.Event()
         release = threading.Event()
-        run_add = kernels.RUNNERS["add"]
+        entry = kernels.CATALOGUE["add"]
 
         def held_add(system, payload, deadline):
             entered.set()
             release.wait(timeout=30)
-            return run_add(system, payload, deadline)
+            return entry.run(system, payload, deadline)
 
-        monkeypatch.setitem(kernels.RUNNERS, "add", held_add)
+        monkeypatch.setitem(
+            kernels.CATALOGUE, "add", entry._replace(run=held_add)
+        )
         add = {"words": [20, 22], "n_bits": 8}
         multiply = {"a": 6, "b": 7, "n_bits": 8}
 

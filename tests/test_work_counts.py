@@ -1,4 +1,4 @@
-"""Work-count ratchet: how much simulator work one kernel call makes.
+"""Work-count ratchet: the work one kernel call or gateway request makes.
 
 Wall-clock timings on a shared host swing by 1.6-2x between runs, but
 the work a kernel asks of the device layer is exact for fixed inputs.
@@ -9,7 +9,10 @@ the paper's geometry (512 tracks, TRD 7), on fixed inputs:
 - calls of the :class:`DeviceStats` entry points that account device
   ops (``record`` and ``record_batch``).
 
-Each count must *equal* its budget in :data:`BUDGETS`. The ratchet rule:
+The gateway half counts the fsyncs, hub emits, event records and
+executor hand-offs of keyed requests (:data:`GATEWAY_BUDGETS`).
+
+Each count must *equal* its budget. The ratchet rule:
 a change that lowers a count lowers its budget in the same change; a
 change that raises one raises the budget and says why in
 ``CHANGES.md``, since a higher budget loosens the check.
@@ -104,3 +107,67 @@ def test_kernel_work_equals_its_budget(monkeypatch, kernel):
         "count, or explain a rise in CHANGES.md"
     )
 
+
+
+# ----------------------------------------------------------------------
+# Gateway half: the work of keyed requests on a journalled gateway with
+# an event log, counted after start-up over the seed-7 ``mixed``
+# schedule, one request at a time, with no resubmits.
+
+#: work -> calls for the 200 requests.
+GATEWAY_BUDGETS = {
+    "os.fsync": 400,
+    "TelemetryHub.emit": 705,
+    "EventLog.emit": 505,
+    "run_in_executor": 200,
+}
+
+
+def _count(monkeypatch, owner, name, counts, key):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_gateway_work_equals_its_budget(monkeypatch, tmp_path):
+    import asyncio
+    import contextlib
+    import os
+
+    from repro.obs.loadgen import build_schedule
+    from repro.service.client import ServiceClient
+    from repro.service.gateway import Gateway
+    from repro.service.journal import RequestJournal
+    from repro.telemetry import EventLog, JsonlSink, TelemetryHub, Tracer
+
+    schedule = build_schedule("mixed", 200, seed=7)
+    events = EventLog(JsonlSink(str(tmp_path / "events.jsonl")))
+    gateway = Gateway(
+        workers=2,
+        journal=RequestJournal(str(tmp_path / "journal.jsonl")),
+        telemetry=TelemetryHub(tracer=Tracer(max_roots=4096), events=events),
+    )
+    counts = dict.fromkeys(GATEWAY_BUDGETS, 0)
+    with contextlib.closing(events), ServiceClient(gateway=gateway) as client:
+        with monkeypatch.context() as patch:
+            _count(patch, os, "fsync", counts, "os.fsync")
+            _count(patch, TelemetryHub, "emit", counts, "TelemetryHub.emit")
+            _count(patch, EventLog, "emit", counts, "EventLog.emit")
+            _count(
+                patch, asyncio.BaseEventLoop, "run_in_executor", counts,
+                "run_in_executor",
+            )
+            for item in schedule:
+                response = client.request(
+                    item.kernel, item.payload, priority=item.priority,
+                    idempotency_key=f"k{item.index}",
+                )
+                assert response.status == "ok", response.body
+    assert counts == GATEWAY_BUDGETS, (
+        f"{counts} against a budget of {GATEWAY_BUDGETS}; lower the budget "
+        "with the count, or explain a rise in CHANGES.md"
+    )
