@@ -332,7 +332,7 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
     one: sustained req/s plus p50/p90/p99 request latency, produced by
     a deterministic seeded schedule against the in-process gateway.
     """
-    from repro.obs import run_loadbench
+    from repro.obs import SloEngine, run_loadbench
 
     client = None
     event_log = None
@@ -345,11 +345,6 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
             gateway=Gateway(workers=args.concurrency, telemetry=telemetry)
         )
         client.start()
-    slo_engine = None
-    if args.slo:
-        from repro.obs.slo import SloEngine
-
-        slo_engine = SloEngine(burn_threshold=args.slo_burn_threshold)
     try:
         current = run_loadbench(
             profile=args.profile,
@@ -359,7 +354,7 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
             duration=args.duration,
             budget_s=args.default_budget_s,
             client=client,
-            slo_engine=slo_engine,
+            slo_engine=SloEngine(burn_threshold=args.slo_burn_threshold),
             slo_step=args.slo_step,
         )
     finally:
@@ -406,7 +401,7 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
         if code == EXIT_OK:
             code = EXIT_DEGRADED
 
-    if args.slo and "slo" in current:
+    if args.slo:
         report = current["slo"]["report"]
         writer.rows(
             "slo",
@@ -990,9 +985,9 @@ def _run_profile(args) -> int:
 def _run_slo(args) -> int:
     """``repro slo``: burn-rate report over the loadbench history.
 
-    Replays every history entry through the SLO engine on the virtual
-    request clock and exits 3 (degraded) while any objective is
-    burning, 0 otherwise.
+    Replays every history entry's ``slo.counts`` through the SLO engine
+    on the virtual request clock and exits 3 (degraded) while any
+    objective is burning, 0 otherwise; an entry without counts exits 1.
     """
     from repro.obs import BenchHistory
     from repro.obs.slo import (
@@ -1008,11 +1003,14 @@ def _run_slo(args) -> int:
         ]
     except ValueError as exc:  # a corrupt history line names path:line
         raise SystemExit(str(exc)) from None
-    report = evaluate_history(
-        documents,
-        burn_threshold=args.slo_burn_threshold,
-        virtual_step_s=args.slo_step,
-    )
+    try:
+        report = evaluate_history(
+            documents,
+            burn_threshold=args.slo_burn_threshold,
+            virtual_step_s=args.slo_step,
+        )
+    except ValueError as exc:  # an entry without slo.counts
+        raise SystemExit(f"{args.history}: {exc}") from None
     report["history"] = args.history
     code = slo_exit_code(report)
     if fmt == "json":
@@ -1508,8 +1506,8 @@ def _loadbench_flags(p: argparse.ArgumentParser) -> None:
     _event_log_flag(p)
     p.add_argument(
         "--slo", action="store_true",
-        help="replay the run through the SLO burn-rate engine; exit 3 on "
-             "a violated objective",
+        help="print the run's SLO burn-rate rows; exit 3 on a violated "
+             "objective",
     )
     _slo_flags(p)
     _gate_flags(p, "LOADBENCH_history.jsonl")

@@ -69,8 +69,6 @@ from repro.obs.slo import (
     SLO_SCHEMA,
     SloDefinition,
     SloEngine,
-    counts_from_loadbench,
-    counts_from_registry,
     evaluate_history,
     publish_gauges,
     render_slo_markdown,
@@ -107,8 +105,6 @@ __all__ = [
     "Verdict",
     "bench_kernel",
     "build_schedule",
-    "counts_from_loadbench",
-    "counts_from_registry",
     "default_kernels",
     "evaluate_history",
     "extract_hotspots",

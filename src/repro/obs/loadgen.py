@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.slo import GOOD_STATUSES, SloEngine
 from repro.service.kernels import CATALOGUE
 from repro.service.profiles import DeviceProfile
 from repro.service.protocol import (
@@ -191,14 +192,13 @@ def run_loadbench(
         client: a started :class:`ServiceClient` to drive; when None an
             in-process one is created (and closed) for the run.
         clock: injectable monotonic clock (tests).
-        slo_engine: optional :class:`~repro.obs.slo.SloEngine`. When
-            given, every completed request is replayed through it on
-            the *virtual* request clock (request ``i`` completes at
-            ``(i + 1) * slo_step`` virtual seconds — deterministic, so
-            the burn-rate verdict depends only on statuses/latencies,
-            not host speed) and the document gains an ``"slo"`` block
-            holding the cumulative good/total counts and the engine's
-            report.
+        slo_engine: the :class:`~repro.obs.slo.SloEngine` each
+            completed request is recorded in (a fresh default one when
+            None), on the *virtual* request clock: request ``i``
+            completes at ``(i + 1) * slo_step`` virtual seconds, so the
+            burn-rate verdict depends only on statuses and latencies,
+            not host speed. The document's ``"slo"`` block holds the
+            engine's good/total counts and its report.
         slo_step: virtual seconds credited per completed request.
     """
     if concurrency < 1:
@@ -266,8 +266,7 @@ def run_loadbench(
     for sample in samples:
         statuses[sample.status] = statuses.get(sample.status, 0) + 1
     completed = len(samples)
-    ok = sum(1 for s in samples if s.status in ("ok", "degraded"))
-    failed = completed - ok
+    failed = completed - sum(statuses.get(s, 0) for s in GOOD_STATUSES)
 
     kernels: List[Dict[str, Any]] = [
         _latency_entry(
@@ -310,34 +309,16 @@ def run_loadbench(
         "kernels": kernels,
     }
 
-    if slo_engine is not None:
-        from repro.obs.slo import GOOD_STATUSES
-
-        cumulative: Dict[str, List[int]] = {
-            slo.name: [0, 0] for slo in slo_engine.slos
-        }
-        for position, sample in enumerate(samples):
-            for slo in slo_engine.slos:
-                good, total = cumulative[slo.name]
-                if slo.kind == "availability":
-                    is_good = sample.status in GOOD_STATUSES
-                else:
-                    is_good = sample.seconds <= (slo.threshold_s or 0.0)
-                cumulative[slo.name] = [good + int(is_good), total + 1]
-            slo_engine.observe(
-                (position + 1) * slo_step,
-                {
-                    name: (pair[0], pair[1])
-                    for name, pair in cumulative.items()
-                },
-            )
-        document["slo"] = {
-            "step_seconds": slo_step,
-            "counts": {
-                name: list(pair) for name, pair in cumulative.items()
-            },
-            "report": slo_engine.evaluate(),
-        }
+    if slo_engine is None:
+        slo_engine = SloEngine()
+    for position, sample in enumerate(samples):
+        slo_engine.record(sample.status, sample.seconds)
+        slo_engine.observe((position + 1) * slo_step)
+    document["slo"] = {
+        "step_seconds": slo_step,
+        "counts": slo_engine.counts(),
+        "report": slo_engine.evaluate(),
+    }
 
     return document
 

@@ -1,13 +1,16 @@
 """Declarative SLOs with multi-window burn-rate alerting.
 
-An :class:`SloDefinition` states an objective over the service's
-existing instruments — no new measurement path:
+An :class:`SloDefinition` states an objective over the answers the
+service gives:
 
-* ``availability`` — fraction of requests that end ``ok``/``degraded``,
-  read from the ``service.requests`` / ``service.status.*`` counters;
-* ``latency`` — fraction of requests at or under ``threshold_s``, read
-  from the ``service.request_seconds`` histogram (cumulative count
-  interpolated at the threshold).
+* ``availability`` — fraction of answers whose status is in
+  :data:`GOOD_STATUSES` (``ok`` or ``degraded``);
+* ``latency`` — fraction of answers given within ``threshold_s``.
+
+:meth:`SloEngine.record` is the one place that rule is applied. The
+gateway records every answer it gives, refused or completed; loadbench
+records each sample of its run and embeds the resulting counts in its
+document; ``repro slo`` adds those embedded counts back up.
 
 Health is judged the SRE way, by **burn rate**: the bad-request rate
 over a window divided by the error budget (``1 - objective``). Burn
@@ -19,9 +22,9 @@ threshold) as the default.
 
 Time here is **virtual**: loadbench advances a request clock
 (:data:`VIRTUAL_SECONDS_PER_REQUEST` per completed request) so window
-arithmetic is deterministic and CI-friendly; the gateway feeds the same
-engine wall-clock seconds at scrape time. Either way the engine only
-ever sees ``observe(t, {slo: (good, total)})`` cumulative points.
+arithmetic is deterministic and CI-friendly; the gateway snapshots its
+engine at wall-clock seconds, once per scrape. Either way the windows
+are judged over ``observe(t)`` snapshots of the running counts.
 
 Surfaces: ``repro slo`` (md/json report, exit 3 while burning), the
 ``slo`` block in ``/readyz``, the ``slo.<name>.*`` gauges published
@@ -32,7 +35,8 @@ and the ``loadbench --slo`` gate.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -121,99 +125,6 @@ DEFAULT_SLOS: Tuple[SloDefinition, ...] = (
 
 
 # ----------------------------------------------------------------------
-# reading (good, total) counts out of the existing instruments
-
-
-def good_below(hist: Dict[str, Any], threshold: float) -> float:
-    """Observations at or under ``threshold``, from a histogram dict.
-
-    Interpolates inside the bucket containing the threshold (uniform
-    assumption, the ``histogram_quantile`` convention) so thresholds
-    that fall between edges still produce a sensible count.
-    """
-    edges: Sequence[float] = hist["edges"]
-    cumulative: Sequence[int] = hist["cumulative"]
-    count = int(hist["count"])
-    if count == 0:
-        return 0.0
-    index = bisect_left(edges, threshold)
-    if index < len(edges) and edges[index] == threshold:
-        return float(cumulative[index])
-    if index >= len(edges):
-        return float(count)
-    below = float(cumulative[index - 1]) if index > 0 else 0.0
-    at_edge = float(cumulative[index])
-    lower = float(edges[index - 1]) if index > 0 else 0.0
-    upper = float(edges[index])
-    if upper <= lower:
-        return at_edge
-    fraction = (threshold - lower) / (upper - lower)
-    return below + (at_edge - below) * fraction
-
-
-def counts_from_registry(
-    metrics, slos: Sequence[SloDefinition] = DEFAULT_SLOS
-) -> Dict[str, Tuple[float, float]]:
-    """Cumulative (good, total) per SLO from a MetricsRegistry."""
-    snapshot = metrics.as_dict() if hasattr(metrics, "as_dict") else metrics
-    counters = snapshot.get("counters", {})
-    histograms = snapshot.get("histograms", {})
-    total_requests = float(counters.get("service.requests", 0))
-    counts: Dict[str, Tuple[float, float]] = {}
-    for slo in slos:
-        if slo.kind == KIND_AVAILABILITY:
-            good = sum(
-                float(counters.get(f"service.status.{status}", 0))
-                for status in GOOD_STATUSES
-            )
-            counts[slo.name] = (good, total_requests)
-        else:
-            hist = histograms.get("service.request_seconds")
-            if hist is None:
-                counts[slo.name] = (0.0, 0.0)
-            else:
-                counts[slo.name] = (
-                    good_below(hist, float(slo.threshold_s)),
-                    float(hist["count"]),
-                )
-    return counts
-
-
-def fraction_below(
-    threshold: float, entry: Dict[str, Any]
-) -> float:
-    """Estimate P(latency <= threshold) from a loadbench kernel entry.
-
-    Legacy history entries carry only min/p50/p90/p99 — no histogram —
-    so the CDF is reconstructed by piecewise-linear interpolation over
-    those known points. Crude, but monotone, deterministic, and honest
-    at the extremes (0 below the minimum, 1 above the p99 tail).
-    """
-    points = [
-        (float(entry.get("wall_seconds_min", 0.0)), 0.0),
-        (float(entry.get("wall_seconds_median", 0.0)), 0.5),
-        (float(entry.get("wall_seconds_p90", 0.0)), 0.9),
-        (float(entry.get("wall_seconds_p99", 0.0)), 0.99),
-    ]
-    # Drop non-monotone points (tiny samples repeat quantiles).
-    cleaned: List[Tuple[float, float]] = []
-    for value, prob in points:
-        if not cleaned or value > cleaned[-1][0]:
-            cleaned.append((value, prob))
-    if threshold <= cleaned[0][0]:
-        return 0.0
-    if threshold >= cleaned[-1][0]:
-        return 1.0
-    for (lo_v, lo_p), (hi_v, hi_p) in zip(cleaned, cleaned[1:]):
-        if lo_v <= threshold <= hi_v:
-            span = hi_v - lo_v
-            if span <= 0:
-                return hi_p
-            return lo_p + (hi_p - lo_p) * (threshold - lo_v) / span
-    return 1.0  # pragma: no cover - defensive
-
-
-# ----------------------------------------------------------------------
 # the burn-rate engine
 
 
@@ -225,85 +136,119 @@ class _Point:
 
 
 class SloEngine:
-    """Multi-window burn-rate evaluation over cumulative observations.
+    """Running (good, total) counts per SLO, and their burn rates.
 
-    Feed it cumulative (good, total) counts at increasing times via
-    :meth:`observe`; ask :meth:`evaluate` for the report. The baseline
-    for a window is the most recent point at or before the window
-    start (the implicit zero origin when none is old enough), so burn
-    rates are well-defined from the very first observation.
+    :meth:`record` counts one answer against every SLO and :meth:`add`
+    adds a history entry's increments; :meth:`observe` snapshots the
+    running counts at a time, and :meth:`evaluate` reports on those
+    snapshots. The baseline for a window is the most recent snapshot at
+    or before the window start (the implicit zero origin when none is
+    old enough), so burn rates are well-defined from the very first
+    snapshot. One lock covers all of it: the gateway records on its
+    event loop while a caller's thread may evaluate.
     """
 
     def __init__(
         self,
         slos: Sequence[SloDefinition] = DEFAULT_SLOS,
-        fast_window_s: float = FAST_WINDOW_S,
-        slow_window_s: float = SLOW_WINDOW_S,
         burn_threshold: float = BURN_ALERT_THRESHOLD,
     ) -> None:
-        if fast_window_s <= 0 or slow_window_s <= 0:
-            raise ValueError("window lengths must be > 0")
-        if fast_window_s > slow_window_s:
-            raise ValueError(
-                "the fast window cannot outlast the slow window"
-            )
         if burn_threshold <= 0:
             raise ValueError("burn_threshold must be > 0")
         names = [slo.name for slo in slos]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names in {names}")
         self.slos: Tuple[SloDefinition, ...] = tuple(slos)
-        self.fast_window_s = fast_window_s
-        self.slow_window_s = slow_window_s
         self.burn_threshold = burn_threshold
+        self._lock = threading.RLock()
+        self._counts: Dict[str, List[float]] = {
+            slo.name: [0, 0] for slo in self.slos
+        }
         self._points: Dict[str, List[_Point]] = {
             slo.name: [] for slo in self.slos
         }
 
-    def observe(
-        self,
-        t: float,
-        counts: Dict[str, Tuple[float, float]],
-    ) -> None:
-        """Record cumulative (good, total) per SLO at virtual time t."""
+    def record(self, status: str, seconds: float) -> None:
+        """Count one answer: good for availability when its status is in
+        :data:`GOOD_STATUSES`, good for latency within ``threshold_s``."""
+        with self._lock:
+            for slo in self.slos:
+                if slo.kind == KIND_AVAILABILITY:
+                    good = status in GOOD_STATUSES
+                else:
+                    good = seconds <= slo.threshold_s
+                counts = self._counts[slo.name]
+                counts[0] += good
+                counts[1] += 1
+
+    def add(self, counts: Any) -> None:
+        """Add one loadbench document's ``{slo: [good, total]}`` counts."""
+        if not isinstance(counts, dict):
+            raise ValueError("carries no slo.counts")
         for slo in self.slos:
-            if slo.name not in counts:
-                continue
-            good, total = counts[slo.name]
-            points = self._points[slo.name]
-            if points and t < points[-1].t:
-                raise ValueError(
-                    f"time went backwards for {slo.name!r}: "
-                    f"{t} < {points[-1].t}"
+            pair = counts.get(slo.name)
+            if not (
+                isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(
+                    type(value) in (int, float) and 0 <= value < math.inf
+                    for value in pair
                 )
-            points.append(_Point(t, float(good), float(total)))
-            # Retain one point older than the slow window as the
-            # boundary baseline; drop everything before it.
-            horizon = t - self.slow_window_s
-            keep = 0
-            for index, point in enumerate(points):
-                if point.t < horizon:
-                    keep = index
-            if keep:
-                del points[:keep]
+            ):
+                raise ValueError(
+                    f"has no [good, total] slo.counts pair for {slo.name!r}"
+                )
+        with self._lock:
+            for slo in self.slos:
+                good, total = counts[slo.name]
+                running = self._counts[slo.name]
+                running[0] += good
+                running[1] += total
+
+    def counts(self) -> Dict[str, List[float]]:
+        """The running ``[good, total]`` per SLO."""
+        with self._lock:
+            return {name: list(pair) for name, pair in self._counts.items()}
+
+    def observe(self, t: float) -> None:
+        """Snapshot the running counts at time t."""
+        with self._lock:
+            for slo in self.slos:
+                points = self._points[slo.name]
+                if points and t < points[-1].t:
+                    raise ValueError(
+                        f"time went backwards for {slo.name!r}: "
+                        f"{t} < {points[-1].t}"
+                    )
+                good, total = self._counts[slo.name]
+                points.append(_Point(t, float(good), float(total)))
+                # Retain one point older than the slow window as the
+                # boundary baseline; drop everything before it.
+                horizon = t - SLOW_WINDOW_S
+                keep = 0
+                for index, point in enumerate(points):
+                    if point.t < horizon:
+                        keep = index
+                if keep:
+                    del points[:keep]
 
     def burn_rate(
         self, slo: SloDefinition, window_s: float,
         now: Optional[float] = None,
     ) -> float:
         """Bad-request rate over the trailing window / error budget."""
-        points = self._points[slo.name]
-        if not points:
-            return 0.0
-        last = points[-1]
-        at = last.t if now is None else now
-        boundary = at - window_s
-        baseline = _Point(min(0.0, boundary), 0.0, 0.0)
-        for point in points:
-            if point.t <= boundary:
-                baseline = point
-            else:
-                break
+        with self._lock:
+            points = self._points[slo.name]
+            if not points:
+                return 0.0
+            last = points[-1]
+            at = last.t if now is None else now
+            boundary = at - window_s
+            baseline = _Point(min(0.0, boundary), 0.0, 0.0)
+            for point in points:
+                if point.t <= boundary:
+                    baseline = point
+                else:
+                    break
         delta_total = last.total - baseline.total
         if delta_total <= 0:
             return 0.0
@@ -314,47 +259,50 @@ class SloEngine:
         return bad_rate / slo.budget
 
     def compliance(self, slo: SloDefinition) -> Optional[float]:
-        """Lifetime good fraction, or None before any data."""
-        points = self._points[slo.name]
-        if not points or points[-1].total <= 0:
-            return None
-        return points[-1].good / points[-1].total
+        """Lifetime good fraction at the last snapshot, or None before
+        any data."""
+        with self._lock:
+            points = self._points[slo.name]
+            if not points or points[-1].total <= 0:
+                return None
+            return points[-1].good / points[-1].total
 
     def evaluate(self, now: Optional[float] = None) -> Dict[str, Any]:
         """The full report: per-SLO burn rates, compliance, status."""
         results: List[Dict[str, Any]] = []
         burning = False
-        for slo in self.slos:
-            fast = self.burn_rate(slo, self.fast_window_s, now)
-            slow = self.burn_rate(slo, self.slow_window_s, now)
-            compliance = self.compliance(slo)
-            if compliance is None:
-                status = STATUS_NO_DATA
-            elif (
-                fast >= self.burn_threshold
-                and slow >= self.burn_threshold
-            ):
-                status = STATUS_BURNING
-                burning = True
-            else:
-                status = STATUS_OK
-            entry = slo.as_dict()
-            entry.update(
-                burn_rate_fast=round(fast, 6),
-                burn_rate_slow=round(slow, 6),
-                compliance=(
-                    round(compliance, 6)
-                    if compliance is not None
-                    else None
-                ),
-                status=status,
-            )
-            results.append(entry)
+        with self._lock:
+            for slo in self.slos:
+                fast = self.burn_rate(slo, FAST_WINDOW_S, now)
+                slow = self.burn_rate(slo, SLOW_WINDOW_S, now)
+                compliance = self.compliance(slo)
+                if compliance is None:
+                    status = STATUS_NO_DATA
+                elif (
+                    fast >= self.burn_threshold
+                    and slow >= self.burn_threshold
+                ):
+                    status = STATUS_BURNING
+                    burning = True
+                else:
+                    status = STATUS_OK
+                entry = slo.as_dict()
+                entry.update(
+                    burn_rate_fast=round(fast, 6),
+                    burn_rate_slow=round(slow, 6),
+                    compliance=(
+                        round(compliance, 6)
+                        if compliance is not None
+                        else None
+                    ),
+                    status=status,
+                )
+                results.append(entry)
         return {
             "schema": SLO_SCHEMA,
             "burn_threshold": self.burn_threshold,
-            "fast_window_s": self.fast_window_s,
-            "slow_window_s": self.slow_window_s,
+            "fast_window_s": FAST_WINDOW_S,
+            "slow_window_s": SLOW_WINDOW_S,
             "burning": burning,
             "slos": results,
         }
@@ -381,48 +329,6 @@ def publish_gauges(metrics, report: Dict[str, Any]) -> None:
 # loadbench-history evaluation (the `repro slo` data source)
 
 
-def counts_from_loadbench(
-    doc: Dict[str, Any], slos: Sequence[SloDefinition] = DEFAULT_SLOS
-) -> Dict[str, Tuple[float, float]]:
-    """Per-SLO (good, total) increments from one loadbench document.
-
-    Documents written since the SLO engine landed embed exact counts
-    under ``doc["slo"]["counts"]``; older entries are reconstructed
-    from the status totals and the overall latency quantiles.
-    """
-    embedded = doc.get("slo", {}).get("counts")
-    counts: Dict[str, Tuple[float, float]] = {}
-    completed = float(doc.get("requests_completed", 0))
-    statuses = doc.get("statuses", {})
-    overall = next(
-        (
-            k
-            for k in doc.get("kernels", [])
-            if k.get("name") == "loadbench.overall"
-        ),
-        None,
-    )
-    for slo in slos:
-        if embedded and slo.name in embedded:
-            good, total = embedded[slo.name]
-            counts[slo.name] = (float(good), float(total))
-        elif slo.kind == KIND_AVAILABILITY:
-            good = sum(
-                float(statuses.get(status, 0))
-                for status in GOOD_STATUSES
-            )
-            counts[slo.name] = (good, completed)
-        else:
-            if overall is None or not completed:
-                counts[slo.name] = (0.0, 0.0)
-            else:
-                fraction = fraction_below(
-                    float(slo.threshold_s), overall
-                )
-                counts[slo.name] = (fraction * completed, completed)
-    return counts
-
-
 def evaluate_history(
     documents: Sequence[Dict[str, Any]],
     slos: Sequence[SloDefinition] = DEFAULT_SLOS,
@@ -432,28 +338,26 @@ def evaluate_history(
     """Replay loadbench documents through the engine on a virtual clock.
 
     Each document advances the clock by ``requests_completed`` x
-    ``virtual_step_s`` and contributes its (good, total) increments to
-    the cumulative series, so the most recent entries dominate the fast
-    window and the whole recent history shapes the slow one.
+    ``virtual_step_s`` and adds its embedded ``slo.counts``, so the
+    most recent entries dominate the fast window and the whole recent
+    history shapes the slow one. Raises :class:`ValueError` naming the
+    1-based entry whose document carries no counts, or no count of
+    completed requests.
     """
     engine = SloEngine(slos=slos, burn_threshold=burn_threshold)
     clock = 0.0
-    cumulative: Dict[str, List[float]] = {
-        slo.name: [0.0, 0.0] for slo in slos
-    }
-    for doc in documents:
-        increments = counts_from_loadbench(doc, slos)
-        clock += float(doc.get("requests_completed", 0)) * virtual_step_s
-        observed: Dict[str, Tuple[float, float]] = {}
-        for slo in slos:
-            good, total = increments.get(slo.name, (0.0, 0.0))
-            cumulative[slo.name][0] += good
-            cumulative[slo.name][1] += total
-            observed[slo.name] = (
-                cumulative[slo.name][0],
-                cumulative[slo.name][1],
-            )
-        engine.observe(clock, observed)
+    for number, doc in enumerate(documents, start=1):
+        slo = doc.get("slo")
+        completed = doc.get("requests_completed", 0)
+        try:
+            if not (type(completed) in (int, float)
+                    and 0 <= completed < math.inf):
+                raise ValueError(f"has requests_completed {completed!r}")
+            engine.add(slo.get("counts") if isinstance(slo, dict) else None)
+        except ValueError as exc:
+            raise ValueError(f"entry {number} {exc}") from None
+        clock += float(completed) * virtual_step_s
+        engine.observe(clock)
     report = engine.evaluate()
     report["entries"] = len(documents)
     report["virtual_seconds"] = clock
@@ -533,11 +437,7 @@ __all__ = [
     "SloDefinition",
     "SloEngine",
     "VIRTUAL_SECONDS_PER_REQUEST",
-    "counts_from_loadbench",
-    "counts_from_registry",
     "evaluate_history",
-    "fraction_below",
-    "good_below",
     "publish_gauges",
     "render_slo_markdown",
     "slo_exit_code",

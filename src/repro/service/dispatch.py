@@ -383,7 +383,8 @@ class ProfileDispatcher:
         Mirrors the sharded campaign: every item either lands in
         ``results`` or is *named* in ``incomplete`` with its reason;
         nothing is silently dropped. Any success + any incompletion =
-        ``degraded``.
+        ``degraded``; no success is ``500`` if an item faulted, else
+        ``504`` if a deadline ran out, else ``400``.
         """
         results: List[Optional[Dict[str, Any]]] = []
         incomplete: List[Dict[str, Any]] = []
@@ -429,9 +430,16 @@ class ProfileDispatcher:
                 envelope(request, "ok", results=results, retries=retries),
             )
         if done == 0:
-            status = "error" if faults else "expired"
+            if faults:
+                http_status, status = 500, "error"
+            elif any(
+                item["reason"] == "deadline_exceeded" for item in incomplete
+            ):
+                http_status, status = 504, "expired"
+            else:
+                http_status, status = 400, "rejected"
             return ServiceResponse(
-                500 if faults else 504,
+                http_status,
                 envelope(
                     request, status,
                     error="all_items_incomplete",

@@ -48,6 +48,7 @@ import traceback
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.chaos import hooks as chaos_hooks
+from repro.obs.slo import SloEngine, publish_gauges
 from repro.service.admission import AdmissionPolicy
 from repro.service.breaker import OPEN, RequestBreakerConfig
 from repro.service.dispatch import ProfileDispatcher, RetryConfig
@@ -105,7 +106,6 @@ class Gateway:
         default_budget_s: float = 10.0,
         telemetry: Optional[TelemetryHub] = None,
         enable_profiling: bool = False,
-        slo_engine=None,
         clock=time.monotonic,
         journal: Optional[RequestJournal] = None,
     ) -> None:
@@ -123,11 +123,7 @@ class Gateway:
         self._profiler = None
         self._clock = clock
         self._epoch = clock()
-        if slo_engine is None:
-            from repro.obs.slo import SloEngine
-
-            slo_engine = SloEngine()
-        self.slo_engine = slo_engine
+        self.slo_engine = SloEngine()
         self.dispatchers: Dict[str, ProfileDispatcher] = {
             name: ProfileDispatcher(
                 profile,
@@ -328,6 +324,7 @@ class Gateway:
         body: Dict[str, Any],
         journal_key: Optional[str],
     ) -> ServiceResponse:
+        started = self._clock()
         request_id = mint_request_id()
         trace = TraceContext.root()
         request = KernelRequest(
@@ -364,20 +361,20 @@ class Gateway:
                 reason=reject.error,
             )
             response = reject_response(request, reject)
-            self.telemetry.tracer.finish(span, status=response.status)
-            return response
-        # The request is now *accepted*: journal the intent before
-        # execution so a crash from here on is recoverable. Rejects
-        # above are deliberately not journalled — the client should
-        # retry those, not have the refusal replayed back.
-        if self.journal is not None and journal_key is not None:
-            self.journal.record_intent(journal_key, kernel, body)
-        response = await future
-        if self.journal is not None and journal_key is not None:
-            self.journal.record_ack(
-                journal_key, response.http_status, response.body
-            )
+        else:
+            # The request is now *accepted*: journal the intent before
+            # execution so a crash from here on is recoverable. Rejects
+            # above are deliberately not journalled — the client should
+            # retry those, not have the refusal replayed back.
+            if self.journal is not None and journal_key is not None:
+                self.journal.record_intent(journal_key, kernel, body)
+            response = await future
+            if self.journal is not None and journal_key is not None:
+                self.journal.record_ack(
+                    journal_key, response.http_status, response.body
+                )
         self.telemetry.tracer.finish(span, status=response.status)
+        self.slo_engine.record(response.status, self._clock() - started)
         return response
 
     def _parse(
@@ -470,20 +467,15 @@ class Gateway:
         return (200 if ready else 503), body
 
     def slo_report(self) -> Dict[str, Any]:
-        """Observe current counts, evaluate, and publish the gauges.
+        """Snapshot the SLO counts, evaluate, and publish the gauges.
 
-        Called on every ``/readyz`` and ``/metrics`` hit: the engine
-        gets one cumulative (good, total) point per scrape on the
-        gateway's monotonic clock, and the resulting burn-rate /
-        compliance values land in the registry as ``slo.*`` gauges so
-        both metric forms expose them.
+        Called on every ``/readyz`` and ``/metrics`` hit: the engine,
+        which :meth:`_handle_core` feeds one record per answer, gets
+        one snapshot per scrape on the gateway's monotonic clock, and
+        the resulting burn-rate / compliance values land in the
+        registry as ``slo.*`` gauges so both metric forms expose them.
         """
-        from repro.obs.slo import counts_from_registry, publish_gauges
-
-        counts = counts_from_registry(
-            self.telemetry.metrics, self.slo_engine.slos
-        )
-        self.slo_engine.observe(self._clock() - self._epoch, counts)
+        self.slo_engine.observe(self._clock() - self._epoch)
         report = self.slo_engine.evaluate()
         publish_gauges(self.telemetry.metrics, report)
         return report

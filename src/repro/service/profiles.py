@@ -18,7 +18,6 @@ _PROFILE_FIELD_TYPES = {
     "trd": int,
     "tracks": int,
     "tr_fault_rate": float,
-    "shift_fault_rate": float,
     "seed": int,
     "adaptive": lambda v: v.lower() in ("1", "true", "yes"),
 }
@@ -33,7 +32,7 @@ class DeviceProfile:
         trd: transverse-read distance (3, 5, or 7).
         tracks: tracks per DBC.
         tr_fault_rate: injected per-TR fault probability (fault drills).
-        shift_fault_rate: injected per-shift fault probability.
+            Only TR faults: no served kernel shifts a cluster.
         seed: fault-injector seed, derived per profile name.
         adaptive: run the BARE->VOTED->NMR ladder on this profile.
     """
@@ -42,7 +41,6 @@ class DeviceProfile:
     trd: int = 7
     tracks: int = 64
     tr_fault_rate: float = 0.0
-    shift_fault_rate: float = 0.0
     seed: int = 0
     adaptive: bool = False
 
@@ -53,12 +51,10 @@ class DeviceProfile:
             raise ValueError(f"trd must be 3, 5 or 7, got {self.trd}")
         if self.tracks < 8:
             raise ValueError(f"tracks must be >= 8, got {self.tracks}")
-        for rate_name in ("tr_fault_rate", "shift_fault_rate"):
-            rate = getattr(self, rate_name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{rate_name} must be in [0, 1], got {rate}"
-                )
+        if not 0.0 <= self.tr_fault_rate <= 1.0:
+            raise ValueError(
+                f"tr_fault_rate must be in [0, 1], got {self.tr_fault_rate}"
+            )
 
     @classmethod
     def parse(cls, spec: str) -> "DeviceProfile":
@@ -108,10 +104,9 @@ class DeviceProfile:
         from repro.utils.streams import derive_seed
 
         fault_config = None
-        if self.tr_fault_rate or self.shift_fault_rate:
+        if self.tr_fault_rate:
             fault_config = FaultConfig(
                 tr_fault_rate=self.tr_fault_rate,
-                shift_fault_rate=self.shift_fault_rate,
                 seed=derive_seed(self.seed, f"service.faults.{self.name}"),
             )
         return CoruscantSystem(
@@ -129,7 +124,6 @@ class DeviceProfile:
             "trd": self.trd,
             "tracks": self.tracks,
             "tr_fault_rate": self.tr_fault_rate,
-            "shift_fault_rate": self.shift_fault_rate,
             "adaptive": self.adaptive,
         }
 

@@ -13,7 +13,7 @@ Response envelope (JSON body)::
      "status": "ok" | "degraded" | "rejected" | "expired" | "error",
      "kernel": "...", "profile": "...", "request_id": N,
      "result": ... | "results": [...],          # ok / degraded
-     "incomplete": [{"index": i, "reason": ...}],  # degraded only
+     "incomplete": [{"index": i, "reason": ...}],  # batch, items missing
      "retries": [{"attempt": k, "delay_s": d, "error": ...}],
      "error": "...", "retry_after_s": S}        # rejected / error
 

@@ -64,6 +64,20 @@ class TestExitUsage:
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
 
+    def test_profile_shift_fault_rate_is_not_a_key(self, capsys):
+        # Served kernels never shift a cluster: a profile injects TR
+        # faults only, and the unknown key lists the ones it has.
+        # Parsing alone, so an accepted key fails here, not serves.
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(
+                ["serve", "--profile", "x:shift_fault_rate=0.1"]
+            )
+        assert exc.value.code == EXIT_USAGE
+        assert (
+            "unknown profile option 'shift_fault_rate'; pick from "
+            "adaptive, seed, tr_fault_rate, tracks, trd"
+        ) in capsys.readouterr().err
+
 
 class TestExitError:
     def test_serve_bind_failure_exits_one(self, capsys):

@@ -1,12 +1,24 @@
-"""SLO definitions, burn-rate engine, history replay, renderers."""
+"""SLO definitions, the outcome rule, burn-rate engine, history replay, renderers."""
+
+import json
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import cli
 from repro.exitcodes import EXIT_DEGRADED, EXIT_OK
+from repro.obs.history import BenchHistory
+from repro.obs.loadgen import run_loadbench
 from repro.obs.slo import (
     BURN_ALERT_THRESHOLD,
     DEFAULT_SLOS,
     FAST_WINDOW_S,
+    GOOD_STATUSES,
     SLOW_WINDOW_S,
     SLO_SCHEMA,
     STATUS_BURNING,
@@ -14,17 +26,15 @@ from repro.obs.slo import (
     STATUS_OK,
     SloDefinition,
     SloEngine,
-    counts_from_loadbench,
-    counts_from_registry,
     evaluate_history,
-    fraction_below,
-    good_below,
     publish_gauges,
     render_slo_markdown,
     slo_exit_code,
 )
+from repro.service.protocol import STATUSES, ServiceResponse
 from repro.telemetry.metrics import MetricsRegistry
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 AVAILABILITY = SloDefinition(
     name="availability", kind="availability", objective=0.99
@@ -67,60 +77,87 @@ class TestDefinition:
         assert kinds == {"availability", "latency"}
 
 
-class TestGoodBelow:
-    HIST = {
-        "edges": [0.1, 0.5, 1.0],
-        "cumulative": [2, 6, 9, 10],
-        "count": 10,
-    }
-
-    def test_exact_edge_uses_cumulative(self):
-        assert good_below(self.HIST, 0.5) == 6.0
-
-    def test_interpolates_inside_bucket(self):
-        # (0.1, 0.5] holds 4 observations; 0.3 is halfway through.
-        assert good_below(self.HIST, 0.3) == pytest.approx(4.0)
-
-    def test_above_last_edge_is_everything(self):
-        assert good_below(self.HIST, 2.0) == 10.0
-
-    def test_below_first_edge_interpolates_from_zero(self):
-        assert good_below(self.HIST, 0.05) == pytest.approx(1.0)
-
-    def test_empty_histogram_is_zero(self):
-        assert good_below({"edges": [1], "cumulative": [0, 0], "count": 0},
-                          0.5) == 0.0
-
-
-class TestCountsFromRegistry:
-    def test_reads_service_instruments(self):
-        metrics = MetricsRegistry()
-        metrics.counter("service.requests").inc(10)
-        metrics.counter("service.status.ok").inc(7)
-        metrics.counter("service.status.degraded").inc(1)
-        metrics.counter("service.status.error").inc(2)
-        hist = metrics.histogram("service.request_seconds", (0.5, 1.0))
-        for value in (0.1, 0.2, 0.3, 0.9):
-            hist.observe(value)
-        counts = counts_from_registry(metrics, (AVAILABILITY, LATENCY))
-        assert counts["availability"] == (8.0, 10.0)
-        assert counts["latency"] == (3.0, 4.0)
-
-    def test_missing_histogram_yields_no_data(self):
-        counts = counts_from_registry(MetricsRegistry(), (LATENCY,))
-        assert counts["latency"] == (0.0, 0.0)
-
-
 class TestEngine:
+    def test_record_applies_the_outcome_rule(self):
+        engine = SloEngine(slos=(AVAILABILITY, LATENCY))
+        for status, seconds in (
+            ("ok", 0.1), ("degraded", 0.6), ("rejected", 0.0),
+            ("expired", 0.5), ("error", 2.0),
+        ):
+            engine.record(status, seconds)
+        # ok and degraded are good; 0.5 s is within the 0.5 s threshold.
+        assert engine.counts() == {"availability": [2, 5], "latency": [3, 5]}
+
+    def test_add_takes_embedded_counts(self):
+        engine = SloEngine(slos=(AVAILABILITY, LATENCY))
+        engine.add({"availability": [40, 50], "latency": [45, 50]})
+        engine.add({"availability": [2, 3], "latency": [3, 3]})
+        assert engine.counts() == {
+            "availability": [42, 53], "latency": [48, 53],
+        }
+
+    @pytest.mark.parametrize("counts", [
+        None,
+        [],
+        {"availability": [1, 2]},
+        {"availability": [1, 2], "latency": [1]},
+        {"availability": [1, 2], "latency": ["1", 2]},
+        {"availability": [1, 2], "latency": [True, 2]},
+        {"availability": [1, 2], "latency": [-1, 2]},
+        {"availability": [1, 2], "latency": [float("nan"), 2]},
+    ])
+    def test_add_refuses_missing_or_malformed_counts(self, counts):
+        engine = SloEngine(slos=(AVAILABILITY, LATENCY))
+        with pytest.raises(ValueError, match="slo.counts"):
+            engine.add(counts)
+        assert engine.counts() == {"availability": [0, 0], "latency": [0, 0]}
+
+    def test_records_and_evaluations_interleave_across_threads(self):
+        # The gateway records on its loop while callers evaluate: a lost
+        # update would leave the totals short.
+        engine = SloEngine()
+        recorders = 4
+        barrier = threading.Barrier(recorders + 1)
+
+        def recorder():
+            barrier.wait()
+            for _ in range(2000):
+                engine.record("ok", 0.01)
+
+        def scraper():
+            barrier.wait()
+            for step in range(200):
+                engine.observe(float(step))
+                engine.evaluate()
+
+        threads = [threading.Thread(target=recorder) for _ in range(recorders)]
+        threads.append(threading.Thread(target=scraper))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert engine.counts() == {
+            "availability": [8000, 8000], "latency": [8000, 8000],
+        }
+
     def test_time_must_be_monotone(self):
         engine = SloEngine(slos=(AVAILABILITY,))
-        engine.observe(10.0, {"availability": (5, 5)})
+        engine.observe(10.0)
         with pytest.raises(ValueError, match="time went backwards"):
-            engine.observe(5.0, {"availability": (6, 6)})
+            engine.observe(5.0)
 
     def test_fast_window_must_not_outlast_slow(self):
-        with pytest.raises(ValueError):
-            SloEngine(fast_window_s=600.0, slow_window_s=300.0)
+        # The windows are the module's fixed 5m/1h pair.
+        assert 0 < FAST_WINDOW_S < SLOW_WINDOW_S
+        report = SloEngine().evaluate()
+        assert report["fast_window_s"] == FAST_WINDOW_S
+        assert report["slow_window_s"] == SLOW_WINDOW_S
 
     def test_no_data_status(self):
         report = SloEngine(slos=(AVAILABILITY,)).evaluate()
@@ -132,7 +169,9 @@ class TestEngine:
     def test_healthy_traffic_is_ok(self):
         engine = SloEngine(slos=(AVAILABILITY,))
         for step in range(1, 11):
-            engine.observe(step * 30.0, {"availability": (step * 5, step * 5)})
+            for _ in range(5):
+                engine.record("ok", 0.01)
+            engine.observe(step * 30.0)
         report = engine.evaluate()
         (entry,) = report["slos"]
         assert entry["status"] == STATUS_OK
@@ -142,7 +181,9 @@ class TestEngine:
     def test_total_failure_burns_both_windows(self):
         engine = SloEngine(slos=(AVAILABILITY,))
         for step in range(1, 11):
-            engine.observe(step * 30.0, {"availability": (0, step * 5)})
+            for _ in range(5):
+                engine.record("error", 0.01)
+            engine.observe(step * 30.0)
         report = engine.evaluate()
         (entry,) = report["slos"]
         # bad fraction 1.0 over a 0.01 budget = burn rate 100.
@@ -154,8 +195,10 @@ class TestEngine:
     def test_fast_window_uses_window_baseline(self):
         engine = SloEngine(slos=(AVAILABILITY,))
         # 1000 good requests long ago, then 100 pure failures recently.
-        engine.observe(0.0, {"availability": (1000, 1000)})
-        engine.observe(4000.0, {"availability": (1000, 1100)})
+        engine.add({"availability": [1000, 1000]})
+        engine.observe(0.0)
+        engine.add({"availability": [0, 100]})
+        engine.observe(4000.0)
         fast = engine.burn_rate(AVAILABILITY, FAST_WINDOW_S)
         slow = engine.burn_rate(AVAILABILITY, SLOW_WINDOW_S)
         # Both window baselines resolve to the t=0 point (nothing newer
@@ -165,9 +208,12 @@ class TestEngine:
 
     def test_old_failures_age_out_of_the_fast_window(self):
         engine = SloEngine(slos=(AVAILABILITY,))
-        engine.observe(0.0, {"availability": (0, 100)})  # bad burst
-        engine.observe(500.0, {"availability": (100, 200)})
-        engine.observe(700.0, {"availability": (200, 300)})
+        engine.add({"availability": [0, 100]})  # bad burst
+        engine.observe(0.0)
+        engine.add({"availability": [100, 100]})
+        engine.observe(500.0)
+        engine.add({"availability": [100, 100]})
+        engine.observe(700.0)
         # Fast window baseline already contains the burst's bad count,
         # so the trailing delta is all good.
         assert engine.burn_rate(AVAILABILITY, FAST_WINDOW_S) == 0.0
@@ -187,10 +233,87 @@ class TestEngine:
         }
 
 
+def reference_reports(samples, step):
+    """The cumulative fold ``record`` + ``observe`` replaced, as a reference.
+
+    One cumulative (good, total) point per sample at ``(i + 1) * step``,
+    then each window's baseline is the last point at or before its start
+    (the zero origin when none is), as ``observe(t, counts)`` judged them.
+    Returns the report after every sample.
+    """
+    cumulative = {slo.name: [0, 0] for slo in DEFAULT_SLOS}
+    points = {slo.name: [] for slo in DEFAULT_SLOS}
+    reports = []
+    for position, (status, seconds) in enumerate(samples):
+        t = (position + 1) * step
+        entries, burning = [], False
+        for slo in DEFAULT_SLOS:
+            if slo.kind == "availability":
+                is_good = status in ("ok", "degraded")
+            else:
+                is_good = seconds <= slo.threshold_s
+            good, total = cumulative[slo.name]
+            cumulative[slo.name] = [good + int(is_good), total + 1]
+            points[slo.name].append((t, good + int(is_good), total + 1))
+            burns = []
+            for window in (300.0, 3600.0):
+                _, last_good, last_total = points[slo.name][-1]
+                base_good = base_total = 0
+                for at, at_good, at_total in points[slo.name]:
+                    if at > t - window:
+                        break
+                    base_good, base_total = at_good, at_total
+                delta_total = last_total - base_total
+                delta_bad = (last_total - last_good) - (base_total - base_good)
+                burns.append(
+                    max(0, delta_bad) / delta_total / slo.budget
+                    if delta_total > 0 else 0.0
+                )
+            compliance = cumulative[slo.name][0] / cumulative[slo.name][1]
+            hot = min(burns) >= BURN_ALERT_THRESHOLD
+            burning = burning or hot
+            entries.append({
+                **slo.as_dict(),
+                "burn_rate_fast": round(burns[0], 6),
+                "burn_rate_slow": round(burns[1], 6),
+                "compliance": round(compliance, 6),
+                "status": STATUS_BURNING if hot else STATUS_OK,
+            })
+        reports.append({
+            "schema": SLO_SCHEMA, "burn_threshold": BURN_ALERT_THRESHOLD,
+            "fast_window_s": 300.0, "slow_window_s": 3600.0,
+            "burning": burning, "slos": entries,
+        })
+    return reports
+
+
+class TestOneOutcomeRule:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.sampled_from(STATUSES + ("internal",)),
+                st.sampled_from([0.0, 0.001, 0.25, 0.5, 0.500001, 3.0]),
+            ),
+            max_size=120,
+        ),
+        step=st.sampled_from([1.0, 6.0, 60.0, 400.0]),
+    )
+    def test_record_and_observe_match_the_cumulative_fold(self, samples, step):
+        engine = SloEngine()
+        expected = reference_reports(samples, step)
+        for position, (status, seconds) in enumerate(samples):
+            engine.record(status, seconds)
+            engine.observe((position + 1) * step)
+            assert engine.evaluate() == expected[position]
+
+
 class TestPublishGauges:
     def test_gauge_names_and_values(self):
         engine = SloEngine(slos=(AVAILABILITY,))
-        engine.observe(6.0, {"availability": (49, 50)})
+        engine.add({"availability": [49, 50]})
+        engine.observe(6.0)
         metrics = MetricsRegistry()
         publish_gauges(metrics, engine.evaluate())
         gauges = metrics.as_dict()["gauges"]
@@ -206,54 +329,77 @@ class TestPublishGauges:
         assert gauges["slo.availability.compliance"] == 1.0
 
 
-def loadbench_doc(completed, ok, p99=0.01, embedded=None):
-    doc = {
+def loadbench_doc(completed, ok, slow=0):
+    """A loadbench document with ``ok`` good and ``slow`` late answers."""
+    return {
         "schema": "coruscant-loadbench/1",
         "requests_completed": completed,
         "statuses": {"ok": ok, "error": completed - ok},
-        "kernels": [
-            {
-                "name": "loadbench.overall",
-                "requests": completed,
-                "wall_seconds_min": p99 / 10,
-                "wall_seconds_median": p99 / 2,
-                "wall_seconds_p90": p99 * 0.9,
-                "wall_seconds_p99": p99,
-            }
-        ],
+        "kernels": [],
+        "slo": {"counts": {
+            "availability": [ok, completed],
+            "latency": [completed - slow, completed],
+        }},
     }
-    if embedded is not None:
-        doc["slo"] = {"counts": embedded}
-    return doc
+
+
+class _ScriptedClient:
+    """Answers each request with the next scripted (status, seconds)."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.now = 0.0
+
+    def clock(self):
+        return self.now
+
+    def request(self, kernel, payload, budget_s, priority):
+        status, seconds = self.script.pop(0)
+        self.now += seconds
+        return ServiceResponse(200, {"status": status})
 
 
 class TestLoadbenchCounts:
     def test_embedded_counts_win(self):
-        doc = loadbench_doc(
-            50, 50, embedded={"availability": [40, 50], "latency": [45, 50]}
-        )
-        counts = counts_from_loadbench(doc, (AVAILABILITY, LATENCY))
-        assert counts["availability"] == (40.0, 50.0)
-        assert counts["latency"] == (45.0, 50.0)
+        # The statuses say every request was ok; the counts decide.
+        doc = loadbench_doc(50, 50)
+        doc["slo"]["counts"] = {"availability": [40, 50], "latency": [45, 50]}
+        report = evaluate_history([doc])
+        compliance = {e["name"]: e["compliance"] for e in report["slos"]}
+        assert compliance == {"availability": 0.8, "latency": 0.9}
 
-    def test_legacy_doc_reconstructs_from_statuses(self):
-        counts = counts_from_loadbench(
-            loadbench_doc(50, 48), (AVAILABILITY, LATENCY)
+    def test_document_carries_its_samples_tally(self):
+        # Early misses, then enough good answers to age them out of the
+        # fast window: the report depends on when each sample landed.
+        script = [("ok", 0.25), ("degraded", 1.0), ("rejected", 0.0),
+                  ("ok", 0.5), ("expired", 2.0), ("error", 0.25)]
+        script += [("ok", 0.25)] * 94
+        client = _ScriptedClient(script)
+        document = run_loadbench(
+            requests=len(script), seed=7, concurrency=1,
+            client=client, clock=client.clock,
         )
-        assert counts["availability"] == (48.0, 50.0)
-        # p99 of 10 ms is far below the 500 ms threshold: all good.
-        assert counts["latency"] == (50.0, 50.0)
-
-    def test_fraction_below_extremes(self):
-        entry = {
-            "wall_seconds_min": 0.1,
-            "wall_seconds_median": 0.2,
-            "wall_seconds_p90": 0.4,
-            "wall_seconds_p99": 0.8,
+        assert document["slo"]["counts"] == {
+            "availability": [97, 100], "latency": [98, 100],
         }
-        assert fraction_below(0.05, entry) == 0.0
-        assert fraction_below(0.9, entry) == 1.0
-        assert fraction_below(0.3, entry) == pytest.approx(0.7)
+        good, total = document["slo"]["counts"]["availability"]
+        assert document["requests_failed"] == total - good == 3
+        assert document["slo"]["step_seconds"] == 6.0
+        assert document["slo"]["report"] == reference_reports(script, 6.0)[-1]
+
+    def test_loadbench_without_slo_flag_embeds_counts(self, tmp_path):
+        out = tmp_path / "run.json"
+        assert cli.main([
+            "loadbench", "--requests", "12", "--concurrency", "1",
+            "--seed", "7", "--no-history", "--bench-out", str(out),
+        ]) == EXIT_OK
+        document = json.loads(out.read_text())
+        counts = document["slo"]["counts"]
+        good = sum(document["statuses"].get(s, 0) for s in GOOD_STATUSES)
+        assert counts["availability"] == [good, 12]
+        assert counts["latency"][1] == 12
+        assert document["requests_failed"] == 12 - good
+        assert document["slo"]["report"]["schema"] == SLO_SCHEMA
 
 
 class TestEvaluateHistory:
@@ -279,6 +425,38 @@ class TestEvaluateHistory:
         assert all(
             e["status"] == STATUS_NO_DATA for e in report["slos"]
         )
+
+    def test_entry_without_counts_is_named(self):
+        bare = loadbench_doc(50, 50)
+        del bare["slo"]
+        with pytest.raises(ValueError, match="^entry 2 carries no slo.counts$"):
+            evaluate_history([loadbench_doc(50, 50), bare])
+
+    @pytest.mark.parametrize("completed", ["50", [50], None, -1, True])
+    def test_entry_with_malformed_request_count_is_named(self, completed):
+        doc = loadbench_doc(50, 50)
+        doc["requests_completed"] = completed
+        with pytest.raises(ValueError, match="^entry 1 has requests_completed"):
+            evaluate_history([doc])
+
+
+class TestSloCommand:
+    def test_entry_without_counts_exits_1_naming_it(self, tmp_path):
+        history = BenchHistory(str(tmp_path / "H"))
+        history.append(loadbench_doc(50, 50))
+        bare = loadbench_doc(50, 50)
+        del bare["slo"]
+        history.append(bare)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "slo", "--history", "H"],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "H: entry 2 carries no slo.counts"
+        ]
 
 
 class TestRenderer:

@@ -268,13 +268,11 @@ def test_detected_device_errors_are_retried_faults(
         _assert_kernel_fault(answers, verdict)
 
 
-#: The grid with TR and shift faults. No served kernel shifts the
-#: cluster (staging writes whole blocks), so only TR faults reach them;
-#: at this rate every fault verdict shows and most answers are 200.
+#: The grid with TR faults, the only device faults a served kernel can
+#: meet: none shifts the cluster (staging writes whole blocks). At this
+#: rate every fault verdict shows and most answers are 200.
 FAULTY = [
-    dataclasses.replace(
-        profile, tr_fault_rate=0.2, shift_fault_rate=0.2, seed=3
-    )
+    dataclasses.replace(profile, tr_fault_rate=0.2, seed=3)
     for profile in GRID
 ]
 

@@ -19,12 +19,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.campaign import _storm
+from repro.device.nanowire import DataLossError
+from repro.resilience.errors import BudgetExhaustedError
 from repro.service.admission import AdmissionPolicy
 from repro.service.breaker import CLOSED, OPEN, RequestBreakerConfig
 from repro.service.client import ServiceClient
 from repro.service.dispatch import RetryConfig
 from repro.service.gateway import _REASONS, Gateway, _BadHttp
-from repro.service.kernels import KERNELS
+from repro.service.kernels import CATALOGUE, KERNELS
 from repro.service.profiles import DeviceProfile, default_profiles
 from repro.service.protocol import (
     PRIORITY_BATCH,
@@ -276,6 +279,127 @@ class TestBreakerIsolation:
             )
             assert response.http_status == 200, response.body
             assert response.body["result"]["product"] == 15
+
+
+class TestBatchOutcomes:
+    """A batch with no completed item: fault, then deadline, then 400."""
+
+    @pytest.fixture
+    def send(self, monkeypatch):
+        add = CATALOGUE["add"].run
+
+        def scripted(system, payload, deadline):
+            if payload.get("fault"):
+                raise DataLossError("a shift pushed a data domain off")
+            if payload.get("expire"):
+                raise BudgetExhaustedError("budget spent mid-ladder")
+            return add(system, payload, deadline)
+
+        monkeypatch.setitem(
+            CATALOGUE, "add", CATALOGUE["add"]._replace(run=scripted)
+        )
+        gateway = Gateway(
+            retry=RetryConfig(attempts=2, base=0.001, cap=0.002), workers=1
+        )
+        with ServiceClient(gateway=gateway) as client:
+            yield lambda items: client.request("add", {"items": items})
+
+    def test_all_malformed_is_400_not_504(self, send):
+        response = send([{"words": "x"}, {"n_bits": 3}])
+        assert response.http_status == 400, response.body
+        assert response.status == "rejected"
+        assert response.body["error"] == "all_items_incomplete"
+        assert response.body["results"] == [None, None]
+        assert response.body["incomplete"] == [
+            {"index": 0, "reason": "bad_request"},
+            {"index": 1, "reason": "bad_request"},
+        ]
+
+    def test_malformed_and_faulted_is_500(self, send):
+        response = send([{"words": "x"}, {"fault": True}])
+        assert response.http_status == 500, response.body
+        assert response.status == "error"
+        assert [i["reason"] for i in response.body["incomplete"]] == [
+            "bad_request", "data_loss",
+        ]
+
+    def test_malformed_and_expired_is_504(self, send):
+        response = send([{"expire": True}, {"words": "x"}])
+        assert response.http_status == 504, response.body
+        assert response.status == "expired"
+        assert [i["reason"] for i in response.body["incomplete"]] == [
+            "deadline_exceeded", "bad_request",
+        ]
+
+
+class TestSloCountsEveryAnswer:
+    """The gateway's SLO engine sees every answer, refused or completed."""
+
+    ADD = {"payload": {"words": [3, 4], "n_bits": 8}}
+
+    def test_refusals_burn_availability(self):
+        gateway = Gateway(
+            profiles=default_profiles(
+                {"victim": DeviceProfile(name="victim")}
+            ),
+            breaker=RequestBreakerConfig(open_seconds=300.0),
+            workers=1,
+        )
+        with ServiceClient(gateway=gateway) as client:
+            for _ in range(5):
+                response = client.request(
+                    "add", self.ADD["payload"], profile="victim"
+                )
+                assert response.status == "ok"
+            _storm(gateway.dispatchers["victim"].breaker)
+            for _ in range(45):
+                response = client.request(
+                    "add", self.ADD["payload"], profile="victim"
+                )
+                assert response.http_status == 503
+                assert response.body["error"] == "breaker_open"
+            report = client.readyz()["slo"]
+        counters = gateway.telemetry.metrics.as_dict()["counters"]
+        assert counters["service.requests"] == 5
+        assert counters["service.rejected"] == 45
+        entry = {e["name"]: e for e in report["slos"]}["availability"]
+        assert entry["compliance"] == 0.1
+        assert entry["status"] == "burning"
+        assert report["burning"] is True
+
+    def test_engine_total_is_requests_plus_rejected(self):
+        async def scenario():
+            gateway = Gateway(
+                profiles=default_profiles(
+                    {"victim": DeviceProfile(name="victim")}
+                ),
+                admission=AdmissionPolicy(capacity=1, high_reserve=0),
+                breaker=RequestBreakerConfig(open_seconds=300.0),
+                workers=1,
+            )
+            await gateway.start_core()
+            _storm(gateway.dispatchers["victim"].breaker)
+            calls = (
+                [("add", self.ADD)] * 6
+                + [("add", {**self.ADD, "profile": "victim"})] * 3
+                + [("add", {"payload": {"words": "x"}})] * 2
+                + [("transmogrify", {})]
+            )
+            responses = await asyncio.gather(
+                *(gateway.handle(kernel, body) for kernel, body in calls)
+            )
+            await gateway.shutdown()
+            return gateway, responses
+
+        gateway, responses = asyncio.run(scenario())
+        assert {r.http_status for r in responses} >= {200, 400, 429, 503}
+        counters = gateway.telemetry.metrics.as_dict()["counters"]
+        answers = counters["service.requests"] + counters["service.rejected"]
+        assert answers == len(responses)
+        counts = gateway.slo_engine.counts()
+        good = sum(r.status in ("ok", "degraded") for r in responses)
+        assert counts["availability"] == [good, answers]
+        assert counts["latency"][1] == answers
 
 
 class TestHttpServer:
