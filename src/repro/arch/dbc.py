@@ -31,14 +31,15 @@ in the cluster's own :class:`DeviceStats`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.device.faults import FaultInjector
 from repro.device.nanowire import DataLossError, default_overhead
 from repro.device.parameters import DeviceParameters
-from repro.device.stats import DeviceStats
+from repro.device.stats import DeviceStats, StatsPlan
 from repro.telemetry.spans import NULL_TRACER
 from repro.utils.bitops import as_bit_row
 
@@ -145,7 +146,7 @@ def carry_outputs(
     under the left head (port 0) of ``track``, C under the right head
     (port 1) of the next track and, with a super carry, C' under the
     left head two tracks up. Writes at or past the block end ``end``
-    are dropped.
+    are dropped. :meth:`WindowCopy.walk` writes the same digits inline.
     """
     if not 0 <= level <= 7:
         raise ValueError(f"level {level} outside [0, 7]")
@@ -316,6 +317,25 @@ class DomainBlockCluster:
         values = as_bit_row(values.reshape(-1)).reshape(values.shape)
         self._domains[start_track:stop, lo : hi + 1] = values
 
+    def poke_window_slots(self, start_track: int, width: int, slots) -> None:
+        """Set the window of tracks ``[start_track, start_track + width)``
+        from one integer per window slot (no cost recorded).
+
+        Bit ``i`` of ``slots[s]`` goes to window slot ``s`` of track
+        ``start_track + i``: a transposed word, LSB on the first track.
+        Checked whole before any track changes.
+        """
+        lo, hi = self.window
+        _check_slots(slots, hi - lo + 1, width)
+        if start_track < 0 or start_track + width > self.tracks:
+            raise ValueError(
+                f"tracks [{start_track}, {start_track + width}) outside "
+                f"[0, {self.tracks})"
+            )
+        self._domains[start_track : start_track + width, lo : hi + 1] = (
+            _slot_columns(width, slots)
+        )
+
     # ------------------------------------------------------------------
     # lockstep device operations (cost-recorded at cluster level)
 
@@ -335,7 +355,7 @@ class DomainBlockCluster:
         distance = direction * count
         if (
             common is not None
-            and self._shift_perturbation() is None
+            and self._shifts_exact()
             and -left <= common + distance <= right
         ):
             self._slide(slice(None), distance)
@@ -425,61 +445,31 @@ class DomainBlockCluster:
 
         Block ``b`` spans tracks ``[starts[b], starts[b] + steps)``. Step
         ``k`` is one cycle: a TR of track ``starts[b] + k`` of every
-        block, then the PIM block writes the level's binary digits where
-        :func:`carry_outputs` places them, with a super carry C' when
-        the window has one (:attr:`super_carry`).
+        block, then the PIM block writes the level's binary digits: S
+        under the left head of that track, C under the right head of the
+        next and, when the window has a super carry (:attr:`super_carry`),
+        C' under the left head two tracks up. Writes at or past a block's
+        end are dropped.
 
         Each step records what its separate ops would, in their order:
         one TR of the blocks' tracks, one ``write_bit`` per digit
         written and a one-cycle ``carry_write`` tick. Its TRs draw
-        faults and vote as :meth:`transverse_read_tracks` does. Returns
-        each block's bits under the left head -- its sum, LSB first.
+        faults and vote as :meth:`transverse_read_tracks` does. The walk
+        runs on a :class:`WindowCopy` of the walked tracks. Returns each
+        block's bits under the left head -- its sum, LSB first.
         """
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        if not starts:
-            raise ValueError("a walk needs at least one block")
-        lo, hi = self._tr_window()
-        first = min(starts)
-        last = max(starts) + steps
-        if first < 0 or last > self.tracks:
-            raise ValueError(
-                f"walk over tracks [{first}, {last}) outside [0, {self.tracks})"
-            )
-        # The walked tracks' window, one list per track; only the two
-        # head columns change, and they go back as two slices.
-        window = self._domains[first:last, lo : hi + 1].tolist()
-        top = hi - lo
-        columns = (0, top)  # port -> column of the copy
-        super_carry = self.super_carry
-        bases = [start - first for start in starts]
-        ends = [base + steps for base in bases]
-        n = max(1, self.tr_vote_reads)
-        p = self.params.transverse_read
-        tr = ("transverse_read", p.cycles * n, p.energy_pj * len(starts) * n)
-        voted = p.cycles * (n - 1)
-        write = ("write_bit", 0, self.params.write.energy_pj)
-        tick = ("carry_write", 1, 0.0)
-        records: List[Tuple[str, int, float]] = []
-        record = records.append
-        try:
-            for step in range(steps):
-                levels = self._sense([sum(window[b + step]) for b in bases])
-                record(tr)
-                if voted:
-                    self.vote_stats.overhead_cycles += voted
-                for base, end, level in zip(bases, ends, levels):
-                    for track, port, bit in carry_outputs(
-                        base + step, end, level, super_carry
-                    ):
-                        window[track][columns[port]] = bit
-                        record(write)
-                record(tick)
-        finally:
-            self._domains[first:last, lo] = [row[0] for row in window]
-            self._domains[first:last, hi] = [row[top] for row in window]
-            self.stats.record_batch(records)
-        return [[row[0] for row in window[b:e]] for b, e in zip(bases, ends)]
+        first, last = _walk_span(starts, steps)
+        with WindowCopy(self, first, last) as window:
+            return window.walk(starts, steps)
+
+    def window_copy(self, first: int, last: int) -> "WindowCopy":
+        """An integer copy of the TR window of tracks ``[first, last)``.
+
+        Stage and walk on it several times (a chain of additions), then
+        leave it (``with``) to write it back and record every walk's cost
+        in one go.
+        """
+        return WindowCopy(self, first, last)
 
     def transverse_write_row(self, bits: Sequence[int]) -> np.ndarray:
         """TW a full row: write under the left head, segment-shift right.
@@ -659,11 +649,16 @@ class DomainBlockCluster:
         the n-times cycle/energy cost at the batch level.
         """
         n = self.tr_vote_reads
-        perturb = self._tr_perturbation()
-        if perturb is None:
+        injector = self.injector
+        if (
+            injector.config.tr_fault_rate == 0.0
+            and type(injector).perturb_tr_level is FaultInjector.perturb_tr_level
+        ):
+            # The injector cannot perturb: no draw is made.
             if n > 1:
                 self.vote_stats.votes += len(levels)
             return levels
+        perturb = injector.perturb_tr_level
         size = self.window_size
         if n <= 1:
             return [perturb(level, size) for level in levels]
@@ -682,47 +677,30 @@ class DomainBlockCluster:
             sensed.append(winner)
         return sensed
 
-    def _shift_perturbation(self) -> Optional[Callable[[int], int]]:
-        """The injector's shift draw, or None while it cannot perturb."""
+    def _shifts_exact(self) -> bool:
+        """Whether no shift can be perturbed: zero rate, ``perturb_shift``
+        not overridden. Shifts then draw nothing."""
         injector = self.injector
-        if (
+        return (
             injector.config.shift_fault_rate == 0.0
             and type(injector).perturb_shift is FaultInjector.perturb_shift
-        ):
-            return None
-        return injector.perturb_shift
-
-    def _tr_perturbation(self) -> Optional[Callable[[int, int], int]]:
-        """The injector's TR-level draw, or None while it cannot perturb."""
-        injector = self.injector
-        if (
-            injector.config.tr_fault_rate == 0.0
-            and type(injector).perturb_tr_level is FaultInjector.perturb_tr_level
-        ):
-            return None
-        return injector.perturb_tr_level
+        )
 
     def _shift_tracks(self, direction: int, count: int) -> None:
         """Shift track by track, as independent wires driven in turn would.
 
-        Each track draws one perturbation per step. The first track that
-        would push a data domain off its wire stops at the guard edge and
-        aborts the command: the tracks before it have moved, the tracks
-        after it have not (and drew nothing).
+        Each track takes its ``count`` steps from one
+        :meth:`FaultInjector.perturb_shifts` call: the draws of one
+        perturbation per step. The first track that would push a data
+        domain off its wire stops at the guard edge and aborts the
+        command: the tracks before it have moved, the tracks after it
+        have not (and drew nothing).
         """
-        perturb = self._shift_perturbation()
+        shifts = self.injector.perturb_shifts
         left, right = self.overhead
         moved: List[int] = []
         for offset in self._offsets:
-            position = offset
-            if perturb is None:
-                position += direction * count
-            else:
-                for _ in range(count):
-                    amount = perturb(direction)
-                    position += amount
-                    if not -left <= position <= right:
-                        break
+            position = shifts(offset, direction, count, -left, right)
             reached = max(-left, min(right, position))
             moved.append(reached - offset)
             if reached != position:
@@ -770,6 +748,208 @@ class DomainBlockCluster:
             f"DomainBlockCluster(tracks={self.tracks}, domains={self.domains}, "
             f"ports={self.port_positions}, pim={self.pim_enabled})"
         )
+
+
+class WindowCopy:
+    """An integer copy of the TR window of tracks ``[first, last)``.
+
+    Three lists, read once from the cluster: the bit under each track's
+    left head, the bit under its right head, and its count of ones in the
+    slots between the heads; a track's TR level is their sum. Staging
+    (:meth:`poke_window_slots`) sets all three at zero cost, and a carry
+    walk (:meth:`walk`) writes only the heads. Leaving the copy (``with``
+    or :meth:`close`) writes back the two head columns and the middle
+    slots of what was staged, then records every walk's cost in one
+    :meth:`DeviceStats.apply <repro.device.stats.DeviceStats.apply>` of
+    a plan cached per walk shape: the records one ``record`` per step op
+    would make, in their order.
+    """
+
+    def __init__(self, dbc: DomainBlockCluster, first: int, last: int) -> None:
+        lo, hi = dbc._tr_window()
+        if lo == hi:
+            raise ValueError("a carry walk needs two distinct heads")
+        if not 0 <= first <= last <= dbc.tracks:
+            raise ValueError(
+                f"tracks [{first}, {last}) outside [0, {dbc.tracks})"
+            )
+        self.dbc = dbc
+        self.first = first
+        self.last = last
+        window = dbc._domains[first:last, lo : hi + 1]
+        rows = np.empty((3, last - first), dtype=np.intp)
+        rows[:2] = window[:, :: hi - lo].T
+        window[:, 1:-1].sum(axis=1, dtype=np.intp, out=rows[2])
+        self.left, self.right, self.middle = rows.tolist()
+        #: Planned cycles of the walks so far (recorded on leaving).
+        self.cycles = 0
+        self._size = hi - lo + 1
+        tr = dbc.params.transverse_read
+        self._costs = (
+            self._size > 3, tr.cycles, tr.energy_pj, dbc.params.write.energy_pj
+        )
+        self._staged: List[Tuple[int, int, Tuple[int, ...]]] = []
+        self._walks: List[Tuple[int, int, int, int]] = []
+
+    def __enter__(self) -> "WindowCopy":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def poke_window_slots(self, start_track: int, width: int, slots) -> None:
+        """Stage tracks ``[start_track, start_track + width)`` as
+        :meth:`DomainBlockCluster.poke_window_slots` would."""
+        _check_slots(slots, self._size, width)
+        i = start_track - self.first
+        if i < 0 or start_track + width > self.last:
+            raise ValueError(
+                f"tracks [{start_track}, {start_track + width}) outside the "
+                f"copy's [{self.first}, {self.last})"
+            )
+        self.left[i : i + width] = _track_counts(slots[:1], width)
+        self.right[i : i + width] = _track_counts(slots[-1:], width)
+        self.middle[i : i + width] = _track_counts(slots[1:-1], width)
+        stop = start_track + width
+        self._staged = [
+            staged for staged in self._staged
+            if not start_track <= staged[0] <= staged[0] + staged[1] <= stop
+        ]
+        self._staged.append((start_track, width, tuple(slots)))
+
+    def walk(self, starts: Sequence[int], steps: int) -> List[List[int]]:
+        """One carry walk on the copy (:meth:`DomainBlockCluster.carry_walk`).
+
+        Each step's TRs go through the cluster's sense path, so faults
+        are drawn and reads voted as on the cluster.
+        """
+        first, last = _walk_span(starts, steps)
+        if first < self.first or last > self.last:
+            raise ValueError(
+                f"walk over tracks [{first}, {last}) outside the copy's "
+                f"[{self.first}, {self.last})"
+            )
+        dbc = self.dbc
+        sense = dbc._sense
+        left, middle, right = self.left, self.middle, self.right
+        bases = [start - self.first for start in starts]
+        blocks = range(len(bases))
+        super_carry, tr_cycles = self._costs[:2]
+        wide = self._size > 7
+        votes = max(1, dbc.tr_vote_reads)
+        sums = [0] * len(bases)
+        done = 0
+        try:
+            for step in range(steps):
+                # Sense every block's track, then write: blocks may overlap.
+                for i in blocks:
+                    track = bases[i] + step
+                    sums[i] = left[track] + middle[track] + right[track]
+                levels = sense(sums)
+                if wide and max(levels) > 7:
+                    raise ValueError(f"level {max(levels)} outside [0, 7]")
+                for i in blocks:
+                    track = bases[i] + step
+                    level = levels[i]
+                    left[track] = level & 1
+                    if step + 1 < steps:
+                        right[track + 1] = level >> 1 & 1
+                        if super_carry and step + 2 < steps:
+                            left[track + 2] = level >> 2 & 1
+                done += 1
+        finally:
+            self._walks.append((len(bases), steps, done, votes))
+            # The plan's cycles: each step's voted TR and its tick.
+            self.cycles += done * (tr_cycles * votes + 1)
+            dbc.vote_stats.overhead_cycles += tr_cycles * (votes - 1) * done
+        return [left[b : b + steps] for b in bases]
+
+    def close(self) -> None:
+        """Write the copy back and record its walks (idempotent)."""
+        dbc = self.dbc
+        lo, hi = dbc.window
+        domains = dbc._domains
+        for start, width, slots in self._staged:
+            domains[start : start + width, lo + 1 : hi] = _slot_columns(
+                width, slots[1:-1]
+            )
+        domains[self.first : self.last, lo] = self.left
+        domains[self.first : self.last, hi] = self.right
+        self._staged = []
+        walks, self._walks = tuple(self._walks), []
+        if walks:
+            dbc.stats.apply(self._plan(walks))
+
+    def _plan(self, walks: Tuple[Tuple[int, int, int, int], ...]) -> StatsPlan:
+        return _walk_plan(walks, *self._costs)
+
+
+@lru_cache(maxsize=32)
+def _walk_plan(
+    walks: Tuple[Tuple[int, int, int, int], ...],
+    super_carry: bool,
+    tr_cycles: int,
+    tr_energy_pj: float,
+    write_energy_pj: float,
+) -> StatsPlan:
+    """The records of carry walks, each ``(blocks, steps, done, votes)``.
+
+    A walk's first ``done`` of its ``steps`` steps each record one TR of
+    its blocks' tracks (voted ``votes`` times), one ``write_bit`` per
+    digit written and a ``carry_write`` tick. Step ``k`` writes S, then C
+    while ``k + 1 < steps``, then C' while ``k + 2 < steps`` with a super
+    carry: the same count in every block.
+    """
+    write = ("write_bit", 0, write_energy_pj)
+    tick = ("carry_write", 1, 0.0)
+    records = []
+    for blocks, steps, done, votes in walks:
+        tr = ("transverse_read", tr_cycles * votes, tr_energy_pj * blocks * votes)
+        for step in range(done):
+            digits = 1 + (step + 1 < steps) + (super_carry and step + 2 < steps)
+            records.append(tr)
+            records.extend([write] * (blocks * digits))
+            records.append(tick)
+    return StatsPlan.of(records)
+
+
+def _walk_span(starts: Sequence[int], steps: int) -> Tuple[int, int]:
+    """The tracks ``[first, last)`` a walk of ``steps`` from ``starts`` covers."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not starts:
+        raise ValueError("a walk needs at least one block")
+    return min(starts), max(starts) + steps
+
+
+def _check_slots(slots, size: int, width: int) -> None:
+    """``slots``: one non-negative integer under ``2**width`` per slot."""
+    if len(slots) != size:
+        raise ValueError(f"need {size} slots, got {len(slots)}")
+    if width < 0:
+        raise ValueError(f"width must be >= 0, got {width}")
+    for slot in slots:
+        if not isinstance(slot, int) or not 0 <= slot < 1 << width:
+            raise ValueError(f"slot {slot!r} is not a {width}-track row")
+
+
+def _track_counts(words: Sequence[int], width: int) -> List[int]:
+    """Each track's count of ones over ``words`` (bit ``i`` on track ``i``)."""
+    counts = [0] * width
+    for word in words:
+        while word:
+            low = word & -word
+            counts[low.bit_length() - 1] += 1
+            word ^= low
+    return counts
+
+
+def _slot_columns(width: int, slots: Sequence[int]) -> np.ndarray:
+    """``(width, len(slots))`` bits: column ``s`` is ``slots[s]``, LSB first."""
+    size = width // 8 + 1
+    raw = b"".join(slot.to_bytes(size, "little") for slot in slots)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(slots), 8 * size)[:, :width].T
 
 
 # Up to this many requested tracks, TR windows are summed in Python.

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.arch.dbc import DomainBlockCluster
+from repro.arch.dbc import DomainBlockCluster, WindowCopy
 from repro.utils.bitops import bits_to_int, word_row
 
 
@@ -83,11 +83,13 @@ class MultiOperandAdder:
         n_bits: int,
         start_track: int = 0,
         zero_extend_to: Optional[int] = None,
+        window: Optional[WindowCopy] = None,
     ) -> None:
         """Place operand words transposed into the window at zero cost.
 
         Models operands already resident in the PIM DBC. ``zero_extend_to``
         widens the staged region so carries beyond ``n_bits`` can resolve.
+        With ``window``, the words go to that copy of the cluster's window.
         """
         k = self._check_operand_count(len(words))
         width = zero_extend_to or n_bits
@@ -99,15 +101,13 @@ class MultiOperandAdder:
                 raise ValueError(
                     f"operand {i} ({word}) does not fit in {n_bits} bits"
                 )
-        # Operand i's bits, LSB first, go down slot base + i of the block.
-        size = n_bits // 8 + 1
-        raw = b"".join(int(word).to_bytes(size, "little") for word in words)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        shown = min(n_bits, width)
+        # Operand i, LSB first, goes down slot base + i of the block.
+        shown = (1 << min(n_bits, width)) - 1
+        slots = [0] * self.trd
         base = self.operand_base_slot
-        block = np.zeros((width, self.trd), dtype=np.uint8)
-        block[:shown, base : base + k] = bits.reshape(k, -1)[:, :shown].T
-        self.dbc.poke_window_block(start_track, block)
+        slots[base : base + k] = [int(word) & shown for word in words]
+        target = self.dbc if window is None else window
+        target.poke_window_slots(start_track, width, slots)
 
     def stage_rows(self, rows: Sequence[Sequence[int]]) -> None:
         """Place already-materialised track rows into the operand slots.
@@ -170,12 +170,15 @@ class MultiOperandAdder:
         start_track: int = 0,
         blocks: int = 1,
         block_stride: Optional[int] = None,
+        window: Optional[WindowCopy] = None,
     ) -> AdditionResult:
         """Walk the carry chain and return the per-block sums.
 
         ``blocks`` > 1 models blocksize-packed rows (Section III-E): the
         walks of all blocks advance in lockstep, sharing cycles. Carry
-        writes past a block's end are masked by the controller.
+        writes past a block's end are masked by the controller. With
+        ``window``, the walk runs on that copy of the cluster's window,
+        whose cost is recorded when the copy is left.
         """
         self._check_operand_count(n_operands)
         stride = block_stride or result_bits
@@ -184,13 +187,18 @@ class MultiOperandAdder:
         last = start_track + (blocks - 1) * stride + result_bits
         if last > self.dbc.tracks:
             raise ValueError("blocks extend past the DBC's tracks")
-        before = self.dbc.stats.cycles
         with self.dbc.tracer.span(
             "add.walk", category="core", operands=n_operands, blocks=blocks
         ) as span:
             starts = [start_track + b * stride for b in range(blocks)]
-            sums = self.dbc.carry_walk(starts, result_bits)
-            cycles = self.dbc.stats.cycles - before
+            if window is None:
+                before = self.dbc.stats.cycles
+                sums = self.dbc.carry_walk(starts, result_bits)
+                cycles = self.dbc.stats.cycles - before
+            else:
+                before = window.cycles
+                sums = window.walk(starts, result_bits)
+                cycles = window.cycles - before
             span.annotate(cycles=cycles)
         values = [bits_to_int(bits) for bits in sums]
         return AdditionResult(values=values, cycles=cycles, staging_cycles=0)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.addition import MultiOperandAdder
+from repro.utils.bitops import as_bit_row
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,7 @@ class PopcountUnit:
         that one TR of track g senses the whole group. Group counts are
         then summed via staged multi-operand additions.
         """
-        row = np.array(bits)
-        if row.dtype.kind not in "biu":
-            row = np.array([int(b) for b in bits], dtype=object)
-        bad = (row != 0) & (row != 1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"bit {i} is {int(row[i])!r}")
+        row = as_bit_row(bits)
         before = self.dbc.stats.cycles
         tracks = self.dbc.tracks
         n_groups = -(-len(row) // self.trd)
@@ -87,8 +82,10 @@ class PopcountUnit:
         """Accumulate group counts with chained multi-operand adds.
 
         Window tracks from ``staged`` up hold zeros from the group
-        staging, and no add reaches them, so each add stages only the
-        tracks below.
+        staging, and no add reaches them. The tracks from the accumulator
+        width up to ``staged`` are zeroed once, so each add stages only
+        its own width. The adds stage and walk on one copy of those
+        tracks' window, written back and costed once at the end.
         """
         width = max(8, (sum(counts)).bit_length() + 2)
         if width > self.dbc.tracks:
@@ -96,22 +93,22 @@ class PopcountUnit:
                 f"popcount accumulator of {width} bits exceeds the "
                 f"{self.dbc.tracks}-track DBC"
             )
+        if len(counts) < 2:
+            return sum(counts)
         budget = self.adder.max_operands
+        span = max(width, staged)
         acc = 0
         pending = list(counts)
         first = True
-        while pending:
-            take = budget if first else budget - 1
-            group = pending[:take]
-            pending = pending[take:]
-            if not first:
-                group.insert(0, acc)
-            if len(group) == 1:
-                acc = group[0]
-            else:
-                self.adder.stage_words(
-                    group, width, zero_extend_to=max(width, staged)
-                )
-                acc = self.adder.run(len(group), width).value
-            first = False
+        with self.dbc.window_copy(0, span) as window:
+            window.poke_window_slots(width, span - width, [0] * self.trd)
+            while pending:
+                take = budget if first else budget - 1
+                group = pending[:take]
+                pending = pending[take:]
+                if not first:
+                    group.insert(0, acc)
+                self.adder.stage_words(group, width, window=window)
+                acc = self.adder.run(len(group), width, window=window).value
+                first = False
         return acc

@@ -97,6 +97,32 @@ class FaultInjector:
             return 0
         return amount * 2
 
+    def perturb_shifts(
+        self, position: int, direction: int, count: int, low: int, high: int
+    ) -> int:
+        """Where ``count`` one-position shifts take a track at ``position``.
+
+        Makes exactly the draws of ``count`` :meth:`perturb_shift` calls
+        in turn (an overriding subclass's own), adding each perturbed
+        amount, and stops after the first step that leaves ``[low,
+        high]``: the position returned then lies outside it.
+        """
+        hook = type(self).perturb_shift is not FaultInjector.perturb_shift
+        rate = self.config.shift_fault_rate
+        random = self._rng.random
+        for _ in range(count):
+            if hook:
+                position += self.perturb_shift(direction)
+            elif rate == 0.0 or random() >= rate:
+                position += direction
+            else:
+                self.shift_faults_injected += 1
+                if random() >= 0.5:
+                    position += 2 * direction
+            if not low <= position <= high:
+                break
+        return position
+
     # ------------------------------------------------------------------
     # rate switching & checkpoint support
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.telemetry import runtime as _telemetry
 
@@ -62,44 +64,31 @@ class DeviceStats:
         self.cycles += total_cycles
         self.energy_pj += total_energy
 
-    def record_batch(self, records: Sequence[Tuple[str, int, float]]) -> None:
-        """Record one occurrence of each ``(op, cycles, energy_pj)``.
+    def apply(self, plan: "StatsPlan") -> None:
+        """Record every entry of ``plan``, in its order.
 
-        The same sums as calling :meth:`record` once per entry, in
-        order, so every float total is bit-identical to the unbatched
-        calls.
+        The same sums as calling :meth:`record` once per entry, so every
+        dict, count and float total is bit-identical to the unplanned
+        calls: integers add in any order, and each float adds its
+        entries one at a time in record order.
         """
-        if not records:
-            return
+        if len(plan.energies) == 1:
+            return  # no records: slot 0 only
         if (
             self.sink is None
             and _telemetry._ACTIVE is not None
             and self.scope is None
         ):
             _telemetry.adopt(self)
-        cycles = self.cycles
-        energy = self.energy_pj
-        # op -> [count, cycles, energy], each op's running sums.
-        sums: Dict[str, List[Any]] = {}
-        for op, c, e in records:
-            cycles += c
-            energy += e
-            row = sums.get(op)
-            if row is None:
-                row = sums[op] = [
-                    self.op_counts.get(op, 0),
-                    self.op_cycles.get(op, 0),
-                    self.op_energy_pj.get(op, 0.0),
-                ]
-            row[0] += 1
-            row[1] += c
-            row[2] += e
-        for op, (n, c, e) in sums.items():
-            self.op_counts[op] = n
-            self.op_cycles[op] = c
-            self.op_energy_pj[op] = e
-        self.cycles = cycles
-        self.energy_pj = energy
+        counts = self.op_counts
+        cycles = self.op_cycles
+        energy = self.op_energy_pj
+        for op, n, c, energies in plan.ops:
+            counts[op] = counts.get(op, 0) + n
+            cycles[op] = cycles.get(op, 0) + c
+            energy[op] = _add_in_order(energy.get(op, 0.0), energies)
+        self.cycles += plan.cycles
+        self.energy_pj = _add_in_order(self.energy_pj, plan.energies)
 
     def merge(self, other: "DeviceStats") -> None:
         """Fold another stats object into this one (breakdowns included)."""
@@ -151,3 +140,55 @@ class DeviceStats:
             "cycles": self.cycles,
             "energy_pj": self.energy_pj,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class StatsPlan:
+    """A fixed sequence of ``(op, cycles, energy_pj)`` records, planned once.
+
+    :meth:`DeviceStats.apply` records them all in one call. A plan keeps
+    what the sums need: per op, in order of first appearance, its count,
+    its cycles and its energies in record order; the total cycles; and
+    every record's energy in record order. Cycles are integers. Each
+    energy sequence is a float64 array whose slot 0 is left free for
+    the running total it is added to (:func:`_add_in_order`).
+    """
+
+    ops: Tuple[Tuple[str, int, int, np.ndarray], ...]
+    cycles: int
+    energies: np.ndarray
+
+    @classmethod
+    def of(cls, records: Iterable[Tuple[str, int, float]]) -> "StatsPlan":
+        """The plan of ``records``, one occurrence each."""
+        rows: Dict[str, List[Any]] = {}
+        cycles = 0
+        energies: List[float] = [0.0]
+        for op, c, e in records:
+            row = rows.get(op)
+            if row is None:
+                row = rows[op] = [0, 0, [0.0]]
+            row[0] += 1
+            row[1] += c
+            row[2].append(e)
+            cycles += c
+            energies.append(e)
+        return cls(
+            ops=tuple(
+                (op, n, c, np.array(es, dtype=np.float64))
+                for op, (n, c, es) in rows.items()
+            ),
+            cycles=cycles,
+            energies=np.array(energies, dtype=np.float64),
+        )
+
+
+def _add_in_order(total: float, energies: np.ndarray) -> float:
+    """``total`` plus ``energies[1:]``, one add at a time, left to right.
+
+    A cumulative sum rounds after every add in order, exactly as ``+=``
+    on a float does (a plain ``sum`` may pair terms up instead).
+    """
+    sums = energies.copy()
+    sums[0] = total
+    return float(np.add.accumulate(sums, out=sums)[-1])

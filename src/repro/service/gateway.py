@@ -272,18 +272,7 @@ class Gateway:
         key = journal_key
         if key is None and isinstance(body, dict):
             raw_key = body.get("idempotency_key")
-            if raw_key is not None:
-                if not isinstance(raw_key, str) or not raw_key:
-                    return reject_response(
-                        KernelRequest(
-                            kernel=kernel,
-                            payload={},
-                            deadline=Deadline.never(),
-                        ),
-                        BadRequest(
-                            "'idempotency_key' must be a non-empty string"
-                        ),
-                    )
+            if isinstance(raw_key, str) and raw_key:
                 key = raw_key
         if self.journal is None or key is None:
             return await self._handle_core(kernel, body, None)
@@ -384,6 +373,12 @@ class Gateway:
         request_id: int,
         trace: Optional[TraceContext] = None,
     ) -> KernelRequest:
+        if isinstance(body, dict):
+            raw_key = body.get("idempotency_key")
+            if raw_key is not None and (
+                not isinstance(raw_key, str) or not raw_key
+            ):
+                raise BadRequest("'idempotency_key' must be a non-empty string")
         if kernel not in KERNELS:
             raise BadRequest(
                 f"unknown kernel {kernel!r}; serving {list(KERNELS)}"

@@ -8,9 +8,12 @@ exception type), each track's physical domains and offset, the commanded
 offset, the cost stats, the vote stats and the injector's RNG position
 must agree. Whole carry walks (Fig. 6) and block stagings are among
 the ops: the reference runs a walk as the per-step TRs, ``write_bit``s
-and ticks it stands for.
+and ticks it stands for. So are whole popcounts: one
+:class:`PopcountUnit` runs on each cluster, its chain of adds on the
+cluster's integer :class:`WindowCopy` and on the wires themselves.
 """
 
+import random
 from typing import Any, List, Tuple
 
 import pytest
@@ -18,14 +21,19 @@ from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.dbc import DomainBlockCluster, SenseVoteStats, pim_port_positions
+from repro.core.popcount import PopcountResult, PopcountUnit
 from repro.device.faults import FaultConfig, FaultInjector
 from repro.device.nanowire import AccessPort, DataLossError, Nanowire
 from repro.device.parameters import DeviceParameters
 from repro.device.stats import DeviceStats
+from repro.telemetry.spans import NULL_TRACER
 
 
 class ReferenceCluster:
     """X Nanowires run one after another, recording at cluster level."""
+
+    pim_enabled = True
+    tracer = NULL_TRACER
 
     def __init__(self, tracks, domains, params, injector, overhead=None):
         ports = [AccessPort(p) for p in pim_port_positions(domains, params.trd)]
@@ -45,6 +53,18 @@ class ReferenceCluster:
     def window(self):
         wire = self.wires[0]
         return wire.port_physical_position(0), wire.port_physical_position(1)
+
+    @property
+    def window_size(self):
+        lo, hi = self.window
+        return hi - lo + 1
+
+    @property
+    def super_carry(self):
+        return self.window_size > 3
+
+    def window_copy(self, first, last):
+        return _WireWindow(self)
 
     def _check_width(self, bits):
         if len(bits) != self.tracks:
@@ -168,7 +188,7 @@ class ReferenceCluster:
             raise ValueError("block holds a non-bit")
         for track, row in enumerate(block, start_track):
             for slot, bit in enumerate(row):
-                self.wires[track].poke_physical(lo + slot, bit)
+                self.wires[track].poke_physical(lo + slot, int(bit))
 
     def carry_walk(self, starts, steps):
         # The per-step sequence a walk stands for: each block's TR in one
@@ -231,6 +251,31 @@ class ReferenceCluster:
 
     def track_states(self):
         return [list(wire.checkpoint()) for wire in self.wires]
+
+
+class _WireWindow:
+    """The reference's window copy: every staging and walk on the wires,
+    every step recorded as it happens."""
+
+    def __init__(self, ref):
+        self.ref = ref
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    @property
+    def cycles(self):
+        return self.ref.stats.cycles
+
+    def poke_window_slots(self, start, width, slots):
+        block = [[slot >> i & 1 for slot in slots] for i in range(width)]
+        self.ref.poke_window_block(start, block)
+
+    def walk(self, starts, steps):
+        return self.ref.carry_walk(starts, steps)
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +345,7 @@ def scenarios(draw):
         st.tuples(st.just("snapshot")),
         st.tuples(st.just("restore")),
         st.tuples(st.just("rates"), st.sampled_from((0.0, 0.05)), st.sampled_from((0.0, 0.05))),
+        st.tuples(st.just("popcount"), st.lists(bit, max_size=3 * tracks)),
     )
     return {
         "trd": trd,
@@ -327,6 +373,8 @@ def _apply(cluster, op: Tuple, saved: List[Any]) -> Tuple[str, Any]:
         if name == "rates":
             cluster.injector.set_rates(*args)
             return ("ok", None)
+        if name == "popcount":
+            return ("ok", PopcountUnit(cluster).count_row(*args))
         result = getattr(cluster, name)(*args)
         if hasattr(result, "tolist"):
             result = result.tolist()  # rows read back as uint8 arrays
@@ -429,3 +477,26 @@ def test_faulted_campaign_shape_matches(seed):
         "tr_rate": 0.05, "shift_rate": 0.05, "votes": 3, "seed": seed,
         "ops": ops,
     })
+
+
+@pytest.mark.parametrize("votes", (1, 3))
+@pytest.mark.parametrize("trd", (3, 5, 7))
+def test_faulted_popcount_chains_match(trd, votes):
+    # Popcounts long enough for chains of adds, between shifts that
+    # split the tracks' offsets, under TR and shift faults.
+    rng = random.Random(trd * 10 + votes)
+    ops = []
+    for i in range(8):
+        ops += [
+            ("shift", 1 if i % 2 else -1, 1 + i % 3),
+            ("popcount", [rng.getrandbits(1) for _ in range(40 + 25 * i)]),
+            ("position_error_check",),
+            ("realign",),
+        ]
+    outcomes = run_both({
+        "trd": trd, "tracks": 48, "domains": 32, "overhead": None,
+        "tr_rate": 0.05, "shift_rate": 0.05, "votes": votes, "seed": trd,
+        "ops": ops,
+    })
+    counts = [result for _, result in outcomes if isinstance(result, PopcountResult)]
+    assert len(counts) == 8

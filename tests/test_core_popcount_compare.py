@@ -1,5 +1,7 @@
 """Unit tests for the popcount and comparison units."""
 
+import random
+
 import pytest
 
 from repro.arch.dbc import DomainBlockCluster
@@ -12,6 +14,38 @@ def make_dbc(tracks=32, trd=7):
     return DomainBlockCluster(
         tracks=tracks, domains=32, params=DeviceParameters(trd=trd)
     )
+
+
+_RNG = random.Random(21)
+_BITS = [_RNG.getrandbits(1) for _ in range(512)]
+
+
+class TestTracedPopcount:
+    """A traced popcount keeps its spans: one ``add.walk`` per chained add,
+    each annotated with its own cycles, under the facade's span."""
+
+    BITS = _BITS
+
+    @pytest.mark.parametrize("trd, cycles, energy, operands", [
+        (7, 419, 1228.245, [5] * 18 + [2]),
+        (3, 3741, 5036.19, [2] * 170),
+    ])
+    def test_spans(self, trd, cycles, energy, operands):
+        from repro import CoruscantSystem
+
+        system = CoruscantSystem(trd=trd, telemetry=True)
+        assert system.popcount(self.BITS) == sum(self.BITS) == 261
+        (root,) = system.telemetry.tracer.roots
+        assert (root.name, root.category) == ("pim.popcount", "pim")
+        assert root.attrs == {"cycles": cycles, "energy_pj": energy}
+        assert [
+            (span.name, span.category, span.children) for span in root.children
+        ] == [("add.walk", "core", [])] * len(operands)
+        assert [span.attrs for span in root.children] == [
+            {"operands": k, "blocks": 1, "cycles": 22} for k in operands
+        ]
+        # The group TR (one cycle) and the walks account for every cycle.
+        assert cycles == 1 + 22 * len(operands)
 
 
 class TestPopcount:

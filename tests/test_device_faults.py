@@ -1,6 +1,8 @@
 """Unit tests for fault injection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.device.faults import FaultConfig, FaultInjector
 
@@ -68,6 +70,64 @@ class TestShiftPerturbation:
         outcomes = {injector.perturb_shift(1) for _ in range(100)}
         assert outcomes <= {0, 2}
         assert injector.shift_faults_injected == 100
+
+
+def _stepwise(injector, position, direction, count, low, high):
+    """``count`` perturb_shift calls in turn, stopping outside [low, high]."""
+    for _ in range(count):
+        position += injector.perturb_shift(direction)
+        if not low <= position <= high:
+            break
+    return position
+
+
+class _EveryThirdOverShifts(FaultInjector):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def perturb_shift(self, amount):
+        self.calls += 1
+        return 2 * amount if self.calls % 3 == 0 else amount
+
+
+class TestPerturbShifts:
+    """One call for a track's steps makes the draws of one call per step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.sampled_from((0.0, 1e-3, 0.3, 1.0)),
+        seed=st.integers(0, 2**16),
+        low=st.integers(-6, 0),
+        high=st.integers(0, 6),
+        direction=st.sampled_from((1, -1)),
+        count=st.integers(0, 14),
+        data=st.data(),
+    )
+    def test_equals_one_perturb_shift_per_step(
+        self, rate, seed, low, high, direction, count, data
+    ):
+        position = data.draw(st.integers(low, high))
+        config = FaultConfig(shift_fault_rate=rate, seed=seed)
+        batched, stepwise = FaultInjector(config), FaultInjector(config)
+        got = batched.perturb_shifts(position, direction, count, low, high)
+        want = _stepwise(stepwise, position, direction, count, low, high)
+        assert got == want
+        assert batched.state() == stepwise.state()
+
+    def test_overridden_perturb_shift_is_called_per_step(self):
+        batched, stepwise = _EveryThirdOverShifts(), _EveryThirdOverShifts()
+        for count in (0, 1, 5, 9):
+            got = batched.perturb_shifts(0, 1, count, -2, 6)
+            want = _stepwise(stepwise, 0, 1, count, -2, 6)
+            assert got == want
+            assert batched.calls == stepwise.calls
+
+    def test_stops_at_the_first_step_past_an_edge(self):
+        injector = FaultInjector()
+        assert injector.perturb_shifts(2, 1, 10, -3, 4) == 5
+        assert injector.perturb_shifts(-2, -1, 10, -3, 4) == -4
+        assert injector.perturb_shifts(0, 1, 3, -3, 4) == 3
 
 
 class TestIntrinsicRate:

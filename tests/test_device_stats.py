@@ -1,6 +1,12 @@
 """Unit tests for device statistics accounting."""
 
-from repro.device.stats import DeviceStats
+import random
+from contextlib import nullcontext
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.device.stats import DeviceStats, StatsPlan
 from repro.device.parameters import DeviceParameters, TimingEnergy
 from repro.telemetry import TelemetryHub, runtime
 
@@ -165,6 +171,79 @@ class TestSinkPublishing:
             "device.read.energy_pj": 0.4,
         }
         assert hub.metrics.as_dict()["counters"] == {}
+
+
+# Device costs are never negative (TimingEnergy refuses them, and a
+# watching hub's counters never run backward).
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(("transverse_read", "write_bit", "carry_write", "shift")),
+        st.integers(0, 10**6),
+        st.floats(min_value=0.0, max_value=1e6),
+    ),
+    max_size=40,
+)
+
+
+class TestStatsPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(before=_RECORDS, planned=_RECORDS, active=st.booleans())
+    def test_apply_equals_one_record_per_entry(self, before, planned, active):
+        planned_stats, recorded = DeviceStats(), DeviceStats()
+        for entry in before:
+            planned_stats.record(*entry)
+            recorded.record(*entry)
+        hubs = (TelemetryHub(), TelemetryHub())
+        plan = StatsPlan.of(planned)
+        with runtime.activated(hubs[0]) if active else nullcontext():
+            planned_stats.apply(plan)
+            planned_scope = planned_stats.scope
+        with runtime.activated(hubs[1]) if active else nullcontext():
+            for entry in planned:
+                recorded.record(*entry)
+            recorded_scope = recorded.scope
+        for name in ("op_counts", "op_cycles", "op_energy_pj", "cycles", "energy_pj"):
+            got, want = getattr(planned_stats, name), getattr(recorded, name)
+            assert got == want, name
+            assert repr(got) == repr(want), name
+        # A hub activated around the apply adopts the stats exactly when
+        # it would adopt them on the first of the records, and folds the
+        # same counts when its scope ends.
+        assert (planned_scope is hubs[0]) == (recorded_scope is hubs[1])
+        assert (planned_scope is None) == (not (active and planned))
+        assert hubs[0].metrics_dict() == hubs[1].metrics_dict()
+        assert planned_stats.scope is recorded.scope is None
+
+    def test_plan_keeps_first_appearance_order(self):
+        plan = StatsPlan.of([("b", 1, 0.5), ("a", 0, 0.25), ("b", 1, 0.5)])
+        assert [(op, n, c) for op, n, c, _ in plan.ops] == [("b", 2, 2), ("a", 1, 0)]
+        assert plan.ops[0][3][1:].tolist() == [0.5, 0.5]
+        assert plan.cycles == 2
+        assert plan.energies[1:].tolist() == [0.5, 0.25, 0.5]
+
+    def test_long_plan_rounds_as_sequential_adds(self):
+        # Thousands of energies over many magnitudes: every partial sum
+        # rounds, so any pairing of terms would show in the last bits.
+        rng = random.Random(5)
+        records = [
+            (rng.choice("abc"), rng.randrange(3), rng.random() * 10 ** rng.randrange(-8, 9))
+            for _ in range(5000)
+        ]
+        planned, recorded = DeviceStats(), DeviceStats()
+        planned.record("a", 1, 0.1)
+        recorded.record("a", 1, 0.1)
+        planned.apply(StatsPlan.of(records))
+        for entry in records:
+            recorded.record(*entry)
+        assert repr(planned) == repr(recorded)
+
+    def test_empty_plan_records_nothing(self):
+        hub = TelemetryHub()
+        stats = DeviceStats()
+        with runtime.activated(hub):
+            stats.apply(StatsPlan.of([]))
+            assert stats.scope is None
+        assert stats == DeviceStats()
 
 
 class TestParameters:

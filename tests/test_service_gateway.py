@@ -367,6 +367,28 @@ class TestSloCountsEveryAnswer:
         assert entry["status"] == "burning"
         assert report["burning"] is True
 
+    @pytest.mark.parametrize("journalled", [False, True])
+    def test_bad_idempotency_key_is_a_counted_refusal(self, tmp_path, journalled):
+        from repro.service.journal import RequestJournal
+
+        journal = (
+            RequestJournal(str(tmp_path / "journal.jsonl")) if journalled else None
+        )
+        gateway = Gateway(workers=1, journal=journal)
+        with ServiceClient(gateway=gateway) as client:
+            response = client.request(
+                "add", {"words": [1, 2], "n_bits": 4}, idempotency_key=""
+            )
+        assert response.http_status == 400
+        assert response.body["error"] == "bad_request"
+        assert response.body["message"] == (
+            "'idempotency_key' must be a non-empty string"
+        )
+        counters = gateway.telemetry.metrics.as_dict()["counters"]
+        assert counters["service.rejected"] == 1
+        counts = gateway.slo_engine.counts()
+        assert counts and all(total == 1 for _good, total in counts.values())
+
     def test_engine_total_is_requests_plus_rejected(self):
         async def scenario():
             gateway = Gateway(
