@@ -137,6 +137,17 @@ def pim_port_positions(domains: int, trd: int) -> Tuple[int, int]:
     return left, left + trd - 1
 
 
+def carry_digits(steps: int, super_carry: bool) -> Tuple[int, ...]:
+    """How many digits each step of a ``steps``-track carry walk writes.
+
+    Step ``k`` writes S; then C on the next track while ``k + 1 <
+    steps``; then, with a super carry, C' two tracks up while ``k + 2 <
+    steps`` (Fig. 6). Writes at or past the block end are dropped.
+    """
+    top = 3 if super_carry else 2
+    return (top,) * (steps - top) + tuple(range(min(top, steps), 0, -1))
+
+
 def carry_outputs(
     track: int, end: int, level: int, super_carry: bool
 ) -> List[Tuple[int, int, int]]:
@@ -144,18 +155,18 @@ def carry_outputs(
 
     The PIM block writes the binary digits of the step's TR level: S
     under the left head (port 0) of ``track``, C under the right head
-    (port 1) of the next track and, with a super carry, C' under the
-    left head two tracks up. Writes at or past the block end ``end``
-    are dropped. :meth:`WindowCopy.walk` writes the same digits inline.
+    (port 1) of the next track and C' under the left head two tracks
+    up, as many as :func:`carry_digits` gives for a block ending at
+    ``end``. :meth:`WindowCopy.walk` writes the same digits inline.
     """
     if not 0 <= level <= 7:
         raise ValueError(f"level {level} outside [0, 7]")
-    writes = [(track, 0, level & 1)]
-    if track + 1 < end:
-        writes.append((track + 1, 1, level >> 1 & 1))
-        if super_carry and track + 2 < end:
-            writes.append((track + 2, 0, level >> 2 & 1))
-    return writes
+    writes = [
+        (track, 0, level & 1),
+        (track + 1, 1, level >> 1 & 1),
+        (track + 2, 0, level >> 2 & 1),
+    ]
+    return writes[: carry_digits(end - track, super_carry)[0]]
 
 
 class DomainBlockCluster:
@@ -759,10 +770,12 @@ class WindowCopy:
     (:meth:`poke_window_slots`) sets all three at zero cost, and a carry
     walk (:meth:`walk`) writes only the heads. Leaving the copy (``with``
     or :meth:`close`) writes back the two head columns and the middle
-    slots of what was staged, then records every walk's cost in one
-    :meth:`DeviceStats.apply <repro.device.stats.DeviceStats.apply>` of
-    a plan cached per walk shape: the records one ``record`` per step op
-    would make, in their order.
+    slots of what was staged, then records the walks' costs in walk
+    order. Each run of walks of one shape (a chain of equal adds is one
+    run) is one :meth:`DeviceStats.apply
+    <repro.device.stats.DeviceStats.apply>` of the shape's cached plan
+    (:func:`_walk_plan`), ``times`` the run's length: the records one
+    ``record`` per step op would make, in their order.
     """
 
     def __init__(self, dbc: DomainBlockCluster, first: int, last: int) -> None:
@@ -784,12 +797,15 @@ class WindowCopy:
         #: Planned cycles of the walks so far (recorded on leaving).
         self.cycles = 0
         self._size = hi - lo + 1
+        self._super_carry = dbc.super_carry
+        #: steps -> carry_digits(steps), for the walks of a chain.
+        self._digits: Dict[int, Tuple[int, ...]] = {}
         tr = dbc.params.transverse_read
-        self._costs = (
-            self._size > 3, tr.cycles, tr.energy_pj, dbc.params.write.energy_pj
-        )
+        self._costs = (tr.cycles, tr.energy_pj, dbc.params.write.energy_pj)
         self._staged: List[Tuple[int, int, Tuple[int, ...]]] = []
-        self._walks: List[Tuple[int, int, int, int]] = []
+        #: Runs of walks of one shape: [(blocks, digits of each step
+        #: done, vote reads), walks].
+        self._walks: List[List] = []
 
     def __enter__(self) -> "WindowCopy":
         return self
@@ -834,7 +850,10 @@ class WindowCopy:
         left, middle, right = self.left, self.middle, self.right
         bases = [start - self.first for start in starts]
         blocks = range(len(bases))
-        super_carry, tr_cycles = self._costs[:2]
+        digits = self._digits.get(steps)
+        if digits is None:
+            digits = self._digits[steps] = carry_digits(steps, self._super_carry)
+        tr_cycles = self._costs[0]
         wide = self._size > 7
         votes = max(1, dbc.tr_vote_reads)
         sums = [0] * len(bases)
@@ -848,17 +867,22 @@ class WindowCopy:
                 levels = sense(sums)
                 if wide and max(levels) > 7:
                     raise ValueError(f"level {max(levels)} outside [0, 7]")
+                written = digits[step]
                 for i in blocks:
                     track = bases[i] + step
                     level = levels[i]
                     left[track] = level & 1
-                    if step + 1 < steps:
+                    if written > 1:
                         right[track + 1] = level >> 1 & 1
-                        if super_carry and step + 2 < steps:
+                        if written > 2:
                             left[track + 2] = level >> 2 & 1
                 done += 1
         finally:
-            self._walks.append((len(bases), steps, done, votes))
+            shape = (len(bases), digits[:done], votes)
+            if self._walks and self._walks[-1][0] == shape:
+                self._walks[-1][1] += 1
+            else:
+                self._walks.append([shape, 1])
             # The plan's cycles: each step's voted TR and its tick.
             self.cycles += done * (tr_cycles * votes + 1)
             dbc.vote_stats.overhead_cycles += tr_cycles * (votes - 1) * done
@@ -876,40 +900,41 @@ class WindowCopy:
         domains[self.first : self.last, lo] = self.left
         domains[self.first : self.last, hi] = self.right
         self._staged = []
-        walks, self._walks = tuple(self._walks), []
-        if walks:
-            dbc.stats.apply(self._plan(walks))
-
-    def _plan(self, walks: Tuple[Tuple[int, int, int, int], ...]) -> StatsPlan:
-        return _walk_plan(walks, *self._costs)
+        runs, self._walks = self._walks, []
+        for shape, walks in runs:
+            dbc.stats.apply(_walk_plan(*shape, *self._costs), walks)
 
 
-@lru_cache(maxsize=32)
+# One entry per walk shape. Every add of a popcount's chain walks its
+# accumulator width, so one plan serves the whole chain and every later
+# popcount of that width. A plan holds one walk's records, at most
+# 2 * steps + 3 * blocks * steps, 16 bytes each: for blocks that do not
+# overlap, at most 80 bytes per track of the cluster, whatever the
+# length of the chain or its row. The benchmark workloads and the full
+# table and figure sweep each walk at most 4 shapes; 16 leaves room.
+@lru_cache(maxsize=16)
 def _walk_plan(
-    walks: Tuple[Tuple[int, int, int, int], ...],
-    super_carry: bool,
+    blocks: int,
+    digits: Tuple[int, ...],
+    votes: int,
     tr_cycles: int,
     tr_energy_pj: float,
     write_energy_pj: float,
 ) -> StatsPlan:
-    """The records of carry walks, each ``(blocks, steps, done, votes)``.
+    """The records of one carry walk of ``blocks`` blocks.
 
-    A walk's first ``done`` of its ``steps`` steps each record one TR of
-    its blocks' tracks (voted ``votes`` times), one ``write_bit`` per
-    digit written and a ``carry_write`` tick. Step ``k`` writes S, then C
-    while ``k + 1 < steps``, then C' while ``k + 2 < steps`` with a super
-    carry: the same count in every block.
+    Each step done (its count of digits written in ``digits``) records
+    one TR of the blocks' tracks, voted ``votes`` times, one
+    ``write_bit`` per digit of each block and a ``carry_write`` tick.
     """
+    tr = ("transverse_read", tr_cycles * votes, tr_energy_pj * blocks * votes)
     write = ("write_bit", 0, write_energy_pj)
     tick = ("carry_write", 1, 0.0)
     records = []
-    for blocks, steps, done, votes in walks:
-        tr = ("transverse_read", tr_cycles * votes, tr_energy_pj * blocks * votes)
-        for step in range(done):
-            digits = 1 + (step + 1 < steps) + (super_carry and step + 2 < steps)
-            records.append(tr)
-            records.extend([write] * (blocks * digits))
-            records.append(tick)
+    for written in digits:
+        records.append(tr)
+        records.extend([write] * (blocks * written))
+        records.append(tick)
     return StatsPlan.of(records)
 
 

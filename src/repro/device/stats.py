@@ -64,16 +64,18 @@ class DeviceStats:
         self.cycles += total_cycles
         self.energy_pj += total_energy
 
-    def apply(self, plan: "StatsPlan") -> None:
-        """Record every entry of ``plan``, in its order.
+    def apply(self, plan: "StatsPlan", times: int = 1) -> None:
+        """Record every entry of ``plan``, in its order, ``times`` over.
 
         The same sums as calling :meth:`record` once per entry, so every
         dict, count and float total is bit-identical to the unplanned
         calls: integers add in any order, and each float adds its
         entries one at a time in record order.
         """
-        if len(plan.energies) == 1:
-            return  # no records: slot 0 only
+        if times < 0:
+            raise ValueError(f"times must be >= 0, got {times}")
+        if not plan.ops or not times:
+            return  # no records
         if (
             self.sink is None
             and _telemetry._ACTIVE is not None
@@ -84,11 +86,11 @@ class DeviceStats:
         cycles = self.op_cycles
         energy = self.op_energy_pj
         for op, n, c, energies in plan.ops:
-            counts[op] = counts.get(op, 0) + n
-            cycles[op] = cycles.get(op, 0) + c
-            energy[op] = _add_in_order(energy.get(op, 0.0), energies)
-        self.cycles += plan.cycles
-        self.energy_pj = _add_in_order(self.energy_pj, plan.energies)
+            counts[op] = counts.get(op, 0) + n * times
+            cycles[op] = cycles.get(op, 0) + c * times
+            energy[op] = _add_in_order(energy.get(op, 0.0), energies, times)
+        self.cycles += plan.cycles * times
+        self.energy_pj = _add_in_order(self.energy_pj, plan.energies, times)
 
     def merge(self, other: "DeviceStats") -> None:
         """Fold another stats object into this one (breakdowns included)."""
@@ -149,9 +151,8 @@ class StatsPlan:
     :meth:`DeviceStats.apply` records them all in one call. A plan keeps
     what the sums need: per op, in order of first appearance, its count,
     its cycles and its energies in record order; the total cycles; and
-    every record's energy in record order. Cycles are integers. Each
-    energy sequence is a float64 array whose slot 0 is left free for
-    the running total it is added to (:func:`_add_in_order`).
+    every record's energy in record order. Cycles are integers, and each
+    energy sequence is a float64 array.
     """
 
     ops: Tuple[Tuple[str, int, int, np.ndarray], ...]
@@ -163,11 +164,11 @@ class StatsPlan:
         """The plan of ``records``, one occurrence each."""
         rows: Dict[str, List[Any]] = {}
         cycles = 0
-        energies: List[float] = [0.0]
+        energies: List[float] = []
         for op, c, e in records:
             row = rows.get(op)
             if row is None:
-                row = rows[op] = [0, 0, [0.0]]
+                row = rows[op] = [0, 0, []]
             row[0] += 1
             row[1] += c
             row[2].append(e)
@@ -183,12 +184,16 @@ class StatsPlan:
         )
 
 
-def _add_in_order(total: float, energies: np.ndarray) -> float:
-    """``total`` plus ``energies[1:]``, one add at a time, left to right.
+def _add_in_order(total: float, energies: np.ndarray, times: int) -> float:
+    """``total`` plus ``energies`` ``times`` over, one add at a time.
 
     A cumulative sum rounds after every add in order, exactly as ``+=``
-    on a float does (a plain ``sum`` may pair terms up instead).
+    on a float does (a plain ``sum`` may pair terms up instead). Its
+    first add, ``total + energies[0]``, is the same float either way
+    round.
     """
-    sums = energies.copy()
-    sums[0] = total
+    sums = np.empty((times, len(energies)))
+    sums[:] = energies
+    sums = sums.reshape(-1)
+    sums[0] += total
     return float(np.add.accumulate(sums, out=sums)[-1])

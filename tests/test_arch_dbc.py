@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.arch.dbc import DomainBlockCluster, pim_port_positions
+from repro.arch.dbc import (
+    DomainBlockCluster,
+    carry_digits,
+    carry_outputs,
+    pim_port_positions,
+)
 from repro.device.faults import FaultInjector
 from repro.device.nanowire import DataLossError
 from repro.device.parameters import DeviceParameters
@@ -202,6 +207,65 @@ class TestTransverseOps:
         ejected = dbc.transverse_write_row([0, 1, 0, 1])
         assert ejected.tolist() == [1, 1, 1, 1]
         assert dbc.peek_window_slot(0) == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("super_carry", [False, True])
+    def test_carry_digits_mask_the_block_end(self, super_carry):
+        # S always; C while a next track is in the block; C' also needs
+        # a super carry and the track after that.
+        for steps in range(7):
+            assert carry_digits(steps, super_carry) == tuple(
+                1 + (k + 1 < steps) + (super_carry and k + 2 < steps)
+                for k in range(steps)
+            )
+        assert carry_outputs(4, 7, 0b110, super_carry) == [
+            (4, 0, 0), (5, 1, 1), (6, 0, 1),
+        ][: 2 + super_carry]
+        assert carry_outputs(5, 7, 0b011, super_carry) == [(5, 0, 1), (6, 1, 1)]
+
+    @pytest.mark.parametrize("trd, votes", [(7, 1), (7, 3), (3, 1)])
+    def test_walks_on_one_copy_cost_as_separate_walks(self, trd, votes):
+        # Walks of several shapes on one copy (two runs of one shape among
+        # them) record, leave and answer as the same walks one by one.
+        from repro.device.faults import FaultConfig
+
+        walks = [([0], 8), ([0], 8), ([0], 5), ([0, 8], 4), ([0], 8)]
+        clusters = []
+        for _ in range(2):
+            dbc = make_dbc(
+                tracks=16, trd=trd,
+                injector=FaultInjector(FaultConfig(tr_fault_rate=0.1, seed=3)),
+            )
+            dbc.tr_vote_reads = votes
+            for slot in range(dbc.window_size):
+                dbc.poke_window_slot(slot, [(t * slot) % 3 == 0 for t in range(16)])
+            clusters.append(dbc)
+        chained, separate = clusters
+        with chained.window_copy(0, 16) as window:
+            chained_sums = [window.walk(*walk) for walk in walks]
+        separate_sums = [separate.carry_walk(*walk) for walk in walks]
+        assert chained_sums == separate_sums
+        assert repr(chained.stats) == repr(separate.stats)
+        assert chained.vote_stats == separate.vote_stats
+        assert (chained._domains == separate._domains).all()
+
+    def test_walk_stopped_by_a_bad_level_records_the_steps_done(self):
+        # A window of 9 domains can sense a level above 7: the walk stops
+        # before that step writes, and only the steps done are recorded.
+        dbc = DomainBlockCluster(
+            tracks=8, domains=32, params=DeviceParameters(trd=9),
+            port_positions=(12, 20),
+        )
+        # Levels 7, 6 and 9: the carries of steps 0 and 1 keep track 2
+        # full, and step 2 senses 9.
+        for slot in range(9):
+            dbc.poke_window_slot(slot, [slot <= 6, slot <= 5, 1, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="level 9 outside"):
+            dbc.carry_walk([0], 5)
+        tr = dbc.params.transverse_read
+        assert dbc.stats.op_counts == {
+            "transverse_read": 2, "write_bit": 6, "carry_write": 2,
+        }
+        assert dbc.stats.cycles == 2 * (tr.cycles + 1)
 
     def test_overhead_override(self):
         dbc = make_dbc(tracks=2, overhead=(5, 100))

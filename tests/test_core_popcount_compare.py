@@ -70,6 +70,31 @@ class TestPopcount:
         assert result.count == sum(bits)
         assert result.groups == -(-200 // 7)
 
+    @pytest.mark.parametrize("trd", [7, 3])
+    def test_long_rows_cache_one_walk_plan(self, trd):
+        # Every add of a popcount's chain walks the accumulator width, so
+        # the chain needs one cached plan of one walk's records: a row ten
+        # times longer, with ten times the adds, caches the same plan.
+        from repro.arch.dbc import _walk_plan, carry_digits
+
+        width = 9  # a 100 count needs 7 bits, plus 2
+        digits = carry_digits(width, trd > 3)
+        for length in (700, 7000):
+            _walk_plan.cache_clear()
+            unit = PopcountUnit(make_dbc(tracks=48, trd=trd))
+            bits = [1, 0] * 100 + [0] * (length - 200)
+            assert unit.count_row(bits).count == 100
+            info = _walk_plan.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
+            tr, write = unit.dbc.params.transverse_read, unit.dbc.params.write
+            plan = _walk_plan(
+                1, digits, 1, tr.cycles, tr.energy_pj, write.energy_pj
+            )
+            assert _walk_plan.cache_info().hits == 1  # the chain's plan
+            # Per step: one TR, one write_bit per digit and one tick.
+            assert len(plan.energies) == 2 * width + sum(digits)
+        _walk_plan.cache_clear()
+
     def test_trd3(self):
         unit = PopcountUnit(make_dbc(trd=3))
         bits = [1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 1]

@@ -187,8 +187,15 @@ _RECORDS = st.lists(
 
 class TestStatsPlan:
     @settings(max_examples=300, deadline=None)
-    @given(before=_RECORDS, planned=_RECORDS, active=st.booleans())
-    def test_apply_equals_one_record_per_entry(self, before, planned, active):
+    @given(
+        before=_RECORDS,
+        planned=_RECORDS,
+        times=st.integers(0, 4),
+        active=st.booleans(),
+    )
+    def test_apply_equals_one_record_per_entry(
+        self, before, planned, times, active
+    ):
         planned_stats, recorded = DeviceStats(), DeviceStats()
         for entry in before:
             planned_stats.record(*entry)
@@ -196,10 +203,10 @@ class TestStatsPlan:
         hubs = (TelemetryHub(), TelemetryHub())
         plan = StatsPlan.of(planned)
         with runtime.activated(hubs[0]) if active else nullcontext():
-            planned_stats.apply(plan)
+            planned_stats.apply(plan, times)
             planned_scope = planned_stats.scope
         with runtime.activated(hubs[1]) if active else nullcontext():
-            for entry in planned:
+            for entry in planned * times:
                 recorded.record(*entry)
             recorded_scope = recorded.scope
         for name in ("op_counts", "op_cycles", "op_energy_pj", "cycles", "energy_pj"):
@@ -210,16 +217,16 @@ class TestStatsPlan:
         # it would adopt them on the first of the records, and folds the
         # same counts when its scope ends.
         assert (planned_scope is hubs[0]) == (recorded_scope is hubs[1])
-        assert (planned_scope is None) == (not (active and planned))
+        assert (planned_scope is None) == (not (active and planned and times))
         assert hubs[0].metrics_dict() == hubs[1].metrics_dict()
         assert planned_stats.scope is recorded.scope is None
 
     def test_plan_keeps_first_appearance_order(self):
         plan = StatsPlan.of([("b", 1, 0.5), ("a", 0, 0.25), ("b", 1, 0.5)])
         assert [(op, n, c) for op, n, c, _ in plan.ops] == [("b", 2, 2), ("a", 1, 0)]
-        assert plan.ops[0][3][1:].tolist() == [0.5, 0.5]
+        assert plan.ops[0][3].tolist() == [0.5, 0.5]
         assert plan.cycles == 2
-        assert plan.energies[1:].tolist() == [0.5, 0.25, 0.5]
+        assert plan.energies.tolist() == [0.5, 0.25, 0.5]
 
     def test_long_plan_rounds_as_sequential_adds(self):
         # Thousands of energies over many magnitudes: every partial sum
@@ -232,8 +239,8 @@ class TestStatsPlan:
         planned, recorded = DeviceStats(), DeviceStats()
         planned.record("a", 1, 0.1)
         recorded.record("a", 1, 0.1)
-        planned.apply(StatsPlan.of(records))
-        for entry in records:
+        planned.apply(StatsPlan.of(records), 3)
+        for entry in records * 3:
             recorded.record(*entry)
         assert repr(planned) == repr(recorded)
 
@@ -241,7 +248,8 @@ class TestStatsPlan:
         hub = TelemetryHub()
         stats = DeviceStats()
         with runtime.activated(hub):
-            stats.apply(StatsPlan.of([]))
+            stats.apply(StatsPlan.of([]), 5)
+            stats.apply(StatsPlan.of([("a", 1, 0.5)]), 0)
             assert stats.scope is None
         assert stats == DeviceStats()
 
