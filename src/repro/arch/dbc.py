@@ -18,10 +18,12 @@ is a windowed sum along the domain axis; a TW is a slice assignment; a
 read or write touches one column; a snapshot copies bytes.
 
 Faults are drawn from the shared :class:`FaultInjector` in the reference
-model's order: one shift perturbation per track per step, track by
-track, and one TR perturbation per track per sensed read. While the
-injector cannot perturb (zero rate, ``perturb_*`` not overridden) no draw
-is made and every operation works on whole rows.
+model's order, one injector call per command: a lockstep shift takes
+every track's steps, track by track, from one
+:meth:`~FaultInjector.shift_command`, and a sensed batch every track's
+reads from one :meth:`~FaultInjector.sense_batch`. While the injector
+cannot perturb (zero rate, ``perturb_*`` not overridden) no draw is made
+and every operation works on whole rows.
 
 Cost accounting happens at the cluster level: a lockstep operation across
 all X tracks costs one operation's latency but X tracks' energy, recorded
@@ -30,6 +32,7 @@ in the cluster's own :class:`DeviceStats`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -550,13 +553,13 @@ class DomainBlockCluster:
             return 0
         left, right = self.overhead
         reachable = max(-left, min(right, commanded))
-        moved = [reachable - offset for offset in self._offsets]
         if reachable != commanded:
             # No track can reach an offset past a guard edge; track 0 is
             # the first to push a data domain off on the way.
-            self._move_tracks(moved[:1])
+            self._move_tracks([reachable])
             raise DataLossError(_loss_message(commanded - reachable))
-        self._move_tracks(moved)
+        moved = [reachable - offset for offset in self._offsets]
+        self._move_tracks([reachable] * self.tracks)
         worst = max(abs(distance) for distance in moved)
         p = self.params.shift
         self.stats.record(
@@ -654,30 +657,28 @@ class DomainBlockCluster:
 
         With ``tr_vote_reads`` = n > 1 each track's TR is repeated n times
         and its majority wins — the 2-of-3 (or k-of-n) re-read scheme
-        that detects single TR level faults in the sense path. Tracks
-        draw their faults in turn, all n reads of a track before the
-        next. Vote outcomes land in :attr:`vote_stats`; callers account
-        the n-times cycle/energy cost at the batch level.
+        that detects single TR level faults in the sense path. The batch
+        draws its faults in one :meth:`FaultInjector.sense_batch` call,
+        all n reads of a track before the next, and only the tracks that
+        misread are tallied. Vote outcomes land in :attr:`vote_stats`;
+        callers account the n-times cycle/energy cost at the batch level.
         """
         n = self.tr_vote_reads
+        if n > 1:
+            self.vote_stats.votes += len(levels)
         injector = self.injector
         if (
             injector.config.tr_fault_rate == 0.0
             and type(injector).perturb_tr_level is FaultInjector.perturb_tr_level
         ):
             # The injector cannot perturb: no draw is made.
-            if n > 1:
-                self.vote_stats.votes += len(levels)
             return levels
-        perturb = injector.perturb_tr_level
-        size = self.window_size
-        if n <= 1:
-            return [perturb(level, size) for level in levels]
-        sensed = []
+        misread = injector.sense_batch(levels, self.window_size, max(1, n))
+        if not misread:
+            return levels
+        sensed = list(levels)
         stats = self.vote_stats
-        for level in levels:
-            reads = [perturb(level, size) for _ in range(n)]
-            stats.votes += 1
+        for track, reads in misread.items():
             winner = max(set(reads), key=reads.count)
             if len(set(reads)) > 1:
                 stats.disagreements += 1
@@ -685,7 +686,7 @@ class DomainBlockCluster:
                     stats.corrected += 1
                 else:
                     stats.unresolved += 1
-            sensed.append(winner)
+            sensed[track] = winner
         return sensed
 
     def _shifts_exact(self) -> bool:
@@ -700,42 +701,39 @@ class DomainBlockCluster:
     def _shift_tracks(self, direction: int, count: int) -> None:
         """Shift track by track, as independent wires driven in turn would.
 
-        Each track takes its ``count`` steps from one
-        :meth:`FaultInjector.perturb_shifts` call: the draws of one
-        perturbation per step. The first track that would push a data
-        domain off its wire stops at the guard edge and aborts the
-        command: the tracks before it have moved, the tracks after it
-        have not (and drew nothing).
+        One :meth:`FaultInjector.shift_command` call draws every track's
+        steps. The first track that would push a data domain off its wire
+        stops at the guard edge and aborts the command: the tracks before
+        it have moved, the tracks after it have not (and drew nothing).
         """
-        shifts = self.injector.perturb_shifts
         left, right = self.overhead
-        moved: List[int] = []
-        for offset in self._offsets:
-            position = shifts(offset, direction, count, -left, right)
-            reached = max(-left, min(right, position))
-            moved.append(reached - offset)
-            if reached != position:
-                self._move_tracks(moved)
-                raise DataLossError(_loss_message(position - reached))
-        self._move_tracks(moved)
+        reached = self.injector.shift_command(
+            self._offsets, direction, count, -left, right
+        )
+        position = reached[-1]
+        reached[-1] = max(-left, min(right, position))
+        self._move_tracks(reached)
+        if reached[-1] != position:
+            raise DataLossError(_loss_message(position - reached[-1]))
 
-    def _move_tracks(self, moved: List[int]) -> None:
-        """Move track ``t`` by ``moved[t]`` positions; later tracks stay.
+    def _move_tracks(self, reached: List[int]) -> None:
+        """Move track ``t`` to offset ``reached[t]``; later tracks stay.
 
-        Tracks that moved the same distance move in one slice.
+        Tracks that move the same distance move in one slide.
         """
-        groups: Dict[int, List[int]] = {}
-        for track, distance in enumerate(moved):
-            if distance:
-                groups.setdefault(distance, []).append(track)
-        for distance, tracks in groups.items():
-            rows = slice(None) if len(tracks) == self.tracks else tracks
-            self._slide(rows, distance)
-            for track in tracks:
-                self._offsets[track] += distance
+        offsets = self._offsets
+        moved = list(map(operator.sub, reached, offsets))
+        if moved.count(moved[0]) == len(moved):
+            rows = slice(None) if len(moved) == self.tracks else slice(len(moved))
+            self._slide(rows, moved[0])
+        else:
+            distances = np.array(moved)
+            for distance in set(moved):
+                self._slide(np.flatnonzero(distances == distance), distance)
+        offsets[: len(reached)] = reached
         self._regroup()
 
-    def _slide(self, rows: Union[slice, List[int]], distance: int) -> None:
+    def _slide(self, rows: Union[slice, np.ndarray], distance: int) -> None:
         """Move the domains of tracks ``rows`` ``distance`` positions.
 
         Domains pushed past an end are dropped and zeros fill in, as on a

@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
+
+import numpy as np
+
+
+# A run of at least this many shift steps draws in one bulk call; below
+# it, a draw per step costs less than the bulk call's fixed cost.
+_BULK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,11 @@ class FaultInjector:
     """Draws fault events according to a :class:`FaultConfig`.
 
     A single injector is shared by all nanowires of a DBC so one seed
-    controls the whole experiment.
+    controls the whole experiment. A wire draws per step and per read
+    (:meth:`perturb_shift`, :meth:`perturb_tr_level`); a lockstep cluster
+    draws per command (:meth:`shift_command`, :meth:`sense_batch`), with
+    exactly the draws of those per-step and per-read calls, in their
+    order. Every draw comes from the one seeded :class:`random.Random`.
     """
 
     def __init__(self, config: Optional[FaultConfig] = None) -> None:
@@ -71,16 +82,10 @@ class FaultInjector:
 
     def perturb_tr_level(self, level: int, max_level: int) -> int:
         """Possibly misread a TR level by +/-1, clamped to [0, max_level]."""
-        if self.config.tr_fault_rate == 0.0:
+        rate = self.config.tr_fault_rate
+        if rate == 0.0 or self._rng.random() >= rate:
             return level
-        if self._rng.random() >= self.config.tr_fault_rate:
-            return level
-        self.tr_faults_injected += 1
-        if level == 0:
-            return 1
-        if level == max_level:
-            return max_level - 1
-        return level + self._rng.choice((-1, 1))
+        return self._misread(level, max_level)
 
     def perturb_shift(self, amount: int) -> int:
         """Possibly over/under-shift a one-position shift by one.
@@ -88,26 +93,126 @@ class FaultInjector:
         ``amount`` is +1 or -1; a fault turns it into 0 (under-shift) or
         +/-2 (over-shift) with equal probability.
         """
-        if self.config.shift_fault_rate == 0.0:
+        rate = self.config.shift_fault_rate
+        if rate == 0.0 or self._rng.random() >= rate:
             return amount
-        if self._rng.random() >= self.config.shift_fault_rate:
-            return amount
-        self.shift_faults_injected += 1
-        if self._rng.random() < 0.5:
-            return 0
-        return amount * 2
+        return self._misshift(amount, self._rng.random())
 
-    def perturb_shifts(
-        self, position: int, direction: int, count: int, low: int, high: int
-    ) -> int:
-        """Where ``count`` one-position shifts take a track at ``position``.
+    def sense_batch(
+        self, levels: Sequence[int], max_level: int, votes: int = 1
+    ) -> Dict[int, List[int]]:
+        """The draws of one sensed batch: ``votes`` reads of each level.
 
-        Makes exactly the draws of ``count`` :meth:`perturb_shift` calls
-        in turn (an overriding subclass's own), adding each perturbed
-        amount, and stops after the first step that leaves ``[low,
-        high]``: the position returned then lies outside it.
+        The levels are read in turn, all ``votes`` reads of one before
+        the next, each read with exactly the draws of one
+        :meth:`perturb_tr_level` call (an overriding subclass's own is
+        called once per read): a clamped level (0 or ``max_level``)
+        draws no coin. Returns the reads of each level that misread at
+        least once, keyed by its index in ``levels``; every read of the
+        other levels is the level itself.
+        """
+        hook = type(self).perturb_tr_level is not FaultInjector.perturb_tr_level
+        rate = self.config.tr_fault_rate
+        misread: Dict[int, List[int]] = {}
+        if rate == 0.0 and not hook:
+            return misread
+        random = self._rng.random
+        for index, level in enumerate(levels):
+            for vote in range(votes):
+                if hook:
+                    read = self.perturb_tr_level(level, max_level)
+                elif random() >= rate:
+                    continue
+                else:
+                    read = self._misread(level, max_level)
+                if read != level:
+                    misread.setdefault(index, [level] * votes)[vote] = read
+        return misread
+
+    def shift_command(
+        self,
+        offsets: Sequence[int],
+        direction: int,
+        count: int,
+        low: int,
+        high: int,
+    ) -> List[int]:
+        """Where one lockstep command of ``count`` shifts takes each track.
+
+        Track after track, the track at ``offsets[t]`` takes its
+        ``count`` one-position steps, each with exactly the draws of one
+        :meth:`perturb_shift` call (an overriding subclass's own is
+        called once per step). The command stops after the first step
+        that leaves ``[low, high]``: the positions returned then end
+        with that track's, outside the range, and leave out the tracks
+        after it, which drew nothing.
+
+        A run of tracks whose steps cannot leave the range even if every
+        one over-shifts draws in bulk, once it has :data:`_BULK_STEPS`
+        steps or more; a shorter run, and a track that might stop the
+        command, draw step by step, so no draw past the stop is taken.
         """
         hook = type(self).perturb_shift is not FaultInjector.perturb_shift
+        # The furthest ``count`` steps can take a track either way.
+        reach = 2 * direction * count
+        near, far = min(0, reach), max(0, reach)
+        tracks = len(offsets)
+        # The common command, far from both edges, is one run.
+        whole = (
+            tracks
+            and not hook
+            and low <= min(offsets) + near
+            and max(offsets) + far <= high
+        )
+        reached: List[int] = []
+        start = 0
+        while start < tracks:
+            end = tracks if whole else start
+            while (
+                not hook
+                and end < tracks
+                and low <= offsets[end] + near
+                and offsets[end] + far <= high
+            ):
+                end += 1
+            if (end - start) * count >= _BULK_STEPS:
+                reached += self._run_steps(offsets[start:end], direction, count)
+                start = end
+                continue
+            # A short run, then the track that might stop the command.
+            for position in offsets[start : end + 1]:
+                position = self._track_steps(
+                    position, direction, count, low, high, hook
+                )
+                reached.append(position)
+                if not low <= position <= high:
+                    return reached
+            start = end + 1
+        return reached
+
+    # ------------------------------------------------------------------
+    # draws
+
+    def _misread(self, level: int, max_level: int) -> int:
+        """A faulted TR read: one level off, clamped (a coin picks the side)."""
+        self.tr_faults_injected += 1
+        if level == 0:
+            return 1
+        if level == max_level:
+            return max_level - 1
+        return level + self._rng.choice((-1, 1))
+
+    def _misshift(self, amount: int, coin: float) -> int:
+        """A faulted step: an under-shift on a coin below one half, else
+        an over-shift."""
+        self.shift_faults_injected += 1
+        return 0 if coin < 0.5 else 2 * amount
+
+    def _track_steps(
+        self, position: int, direction: int, count: int, low: int, high: int,
+        hook: bool,
+    ) -> int:
+        """One track's steps, one draw at a time, stopping outside the range."""
         rate = self.config.shift_fault_rate
         random = self._rng.random
         for _ in range(count):
@@ -116,12 +221,60 @@ class FaultInjector:
             elif rate == 0.0 or random() >= rate:
                 position += direction
             else:
-                self.shift_faults_injected += 1
-                if random() >= 0.5:
-                    position += 2 * direction
+                position += self._misshift(direction, random())
             if not low <= position <= high:
                 break
         return position
+
+    def _run_steps(
+        self, offsets: Sequence[int], direction: int, count: int
+    ) -> List[int]:
+        """Where ``count`` steps take each track of a run that stays in range.
+
+        Every step of the run draws, so one bulk draw serves one draw per
+        step; each fault's coin is the draw after its own, and the steps
+        the coins push past the bulk draw take theirs one at a time.
+        """
+        distance = direction * count
+        reached = [offset + distance for offset in offsets]
+        rate = self.config.shift_fault_rate
+        if rate == 0.0:
+            return reached
+        steps = len(offsets) * count
+        draws = self._doubles(steps)
+        random = self._rng.random
+        done = taken = 0
+        for hit in (draws < rate).nonzero()[0].tolist():
+            if hit < taken:
+                continue  # the coin of the fault before
+            done += hit - taken
+            taken = hit + 2
+            coin = draws[hit + 1] if taken <= steps else random()
+            reached[done // count] += self._misshift(direction, coin) - direction
+            done += 1
+        done += max(0, steps - taken)
+        for step in range(done, steps):
+            if random() < rate:
+                reached[step // count] += (
+                    self._misshift(direction, random()) - direction
+                )
+        return reached
+
+    def _doubles(self, n: int) -> np.ndarray:
+        """The next ``n`` draws of ``random()``, taken in one call.
+
+        ``random()`` makes a double of two 32-bit words, 27 bits of the
+        first and 26 of the second; ``getrandbits(64 * n)`` takes the
+        same ``2 * n`` words, the first as its least significant. So the
+        doubles, and the state left behind, are those of ``n``
+        ``random()`` calls.
+        """
+        words = np.frombuffer(
+            self._rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4"
+        )
+        return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (
+            1.0 / 9007199254740992.0
+        )
 
     # ------------------------------------------------------------------
     # rate switching & checkpoint support

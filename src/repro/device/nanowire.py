@@ -170,8 +170,7 @@ class Nanowire:
 
     def poke_row(self, row: int, bit: int) -> None:
         """Write data row ``row`` directly (no cost is recorded)."""
-        self._check_bit(bit)
-        self._domains[self.row_physical_position(row)] = bit
+        self._domains[self.row_physical_position(row)] = self._check_bit(bit)
 
     def peek_physical(self, position: int) -> int:
         """Read any physical domain directly (no cost is recorded)."""
@@ -179,8 +178,7 @@ class Nanowire:
 
     def poke_physical(self, position: int, bit: int) -> None:
         """Write any physical domain directly (no cost is recorded)."""
-        self._check_bit(bit)
-        self._domains[position] = bit
+        self._domains[position] = self._check_bit(bit)
 
     def load(self, bits: Sequence[int]) -> None:
         """Initialize all data rows at once (no cost is recorded)."""
@@ -300,7 +298,7 @@ class Nanowire:
         """Shift-based write of the domain under a port."""
         if self.ports[port_index].read_only:
             raise ValueError(f"port {port_index} is read-only")
-        self._check_bit(bit)
+        bit = self._check_bit(bit)
         position = self.port_physical_position(port_index)
         self._domains[position] = bit
         if record:
@@ -380,7 +378,7 @@ class Nanowire:
         (returned, since the read current that carries it out can be
         sensed). Domains outside the window are untouched (Fig. 9).
         """
-        self._check_bit(bit)
+        bit = self._check_bit(bit)
         lo = self.port_physical_position(left_port_index)
         hi = self.port_physical_position(right_port_index)
         if lo >= hi:
@@ -396,9 +394,12 @@ class Nanowire:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _check_bit(bit: int) -> None:
+    def _check_bit(bit: int) -> int:
+        """``bit`` as a Python int, so that TR levels sum as ints
+        whatever integer type the bit came in."""
         if bit not in (0, 1):
             raise ValueError(f"expected bit 0 or 1, got {bit!r}")
+        return int(bit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,7 +8,7 @@ from repro.arch.dbc import (
     carry_outputs,
     pim_port_positions,
 )
-from repro.device.faults import FaultInjector
+from repro.device.faults import FaultConfig, FaultInjector
 from repro.device.nanowire import DataLossError
 from repro.device.parameters import DeviceParameters
 
@@ -150,6 +150,48 @@ class TestAbortedShift:
             assert [
                 dbc.peek_row(row) for row in range(dbc.domains)
             ] == expected
+
+
+DRAWS = ("perturb_tr_level", "perturb_shift", "sense_batch", "shift_command")
+
+
+def _run_ops(dbc):
+    dbc.tr_vote_reads = 3
+    dbc.shift(1, 3)
+    dbc.align(5)
+    dbc.transverse_read_all()
+    dbc.transverse_read_tracks([0, 3, 5])
+    dbc.carry_walk([0, 8], 6)
+    dbc.position_error_check()
+    dbc.realign()
+
+
+class TestInjectorCalls:
+    def test_fault_free_cluster_makes_no_injector_call(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a fault-free cluster called its injector")
+
+        for name in DRAWS:
+            monkeypatch.setattr(FaultInjector, name, refuse)
+        _run_ops(make_dbc())
+
+    def test_one_call_per_shift_command_and_sensed_batch(self, monkeypatch):
+        calls = dict.fromkeys(DRAWS, 0)
+        for name in DRAWS:
+            method = getattr(FaultInjector, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(FaultInjector, name, counted)
+        config = FaultConfig(tr_fault_rate=0.05, shift_fault_rate=0.05, seed=3)
+        _run_ops(make_dbc(injector=FaultInjector(config)))
+        # Two shifts (shift, align); TR all, TR tracks and six walk steps.
+        assert calls == {
+            "perturb_tr_level": 0, "perturb_shift": 0,
+            "sense_batch": 8, "shift_command": 2,
+        }
 
 
 class TestRejectedRows:

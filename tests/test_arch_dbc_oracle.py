@@ -188,7 +188,7 @@ class ReferenceCluster:
             raise ValueError("block holds a non-bit")
         for track, row in enumerate(block, start_track):
             for slot, bit in enumerate(row):
-                self.wires[track].poke_physical(lo + slot, int(bit))
+                self.wires[track].poke_physical(lo + slot, bit)
 
     def carry_walk(self, starts, steps):
         # The per-step sequence a walk stands for: each block's TR in one
@@ -344,7 +344,7 @@ def scenarios(draw):
         st.tuples(st.just("realign")),
         st.tuples(st.just("snapshot")),
         st.tuples(st.just("restore")),
-        st.tuples(st.just("rates"), st.sampled_from((0.0, 0.05)), st.sampled_from((0.0, 0.05))),
+        st.tuples(st.just("rates"), st.sampled_from((0.0, 0.05)), st.sampled_from((0.0, 0.05, 0.5))),
         st.tuples(st.just("popcount"), st.lists(bit, max_size=3 * tracks)),
     )
     return {
@@ -353,7 +353,7 @@ def scenarios(draw):
         "domains": domains,
         "overhead": draw(st.sampled_from((None, (2, 3)))),
         "tr_rate": draw(st.sampled_from((0.0, 0.05, 0.3))),
-        "shift_rate": draw(st.sampled_from((0.0, 0.05, 0.3))),
+        "shift_rate": draw(st.sampled_from((0.0, 0.05, 0.5))),
         "votes": draw(st.sampled_from((1, 3))),
         "seed": draw(st.integers(0, 2**16)),
         "ops": draw(st.lists(op, min_size=1, max_size=40)),
@@ -441,7 +441,7 @@ def test_cluster_matches_per_track_nanowires(scenario):
 
 def test_sequences_reach_aborted_shifts():
     # The generator reaches DataLossError aborts, with faults on and off.
-    for shift_rate in (0.0, 0.3):
+    for shift_rate in (0.0, 0.5):
         found = find(
             scenarios().filter(lambda s: s["shift_rate"] == shift_rate),
             lambda s: ("raised", DataLossError) in run_both(s),

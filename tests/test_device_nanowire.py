@@ -1,7 +1,9 @@
 """Unit tests for the DWM nanowire model."""
 
+import numpy as np
 import pytest
 
+from repro.device.faults import FaultConfig, FaultInjector
 from repro.device.nanowire import (
     AccessPort,
     DataLossError,
@@ -135,6 +137,27 @@ class TestTransverseRead:
     def test_zero_window(self):
         wire = make_wire()
         assert wire.transverse_read(0, 1) == 0
+
+    def test_numpy_bits_misread_by_one(self):
+        # Bits poked as numpy uint8 are stored as ints, so a misread of
+        # level 6 by -1 is level 5, not a uint8 overflow.
+        injector = FaultInjector(FaultConfig(tr_fault_rate=1.0))
+        wire = make_wire(num_data=16, ports=(2, 8), injector=injector)
+        for slot, bit in enumerate(np.array([1, 1, 1, 0, 1, 1, 1], dtype=np.uint8)):
+            wire.poke_physical(wire.port_physical_position(0) + slot, bit)
+        wire.write(1, np.uint8(1))
+        levels = [wire.transverse_read(0, 1) for _ in range(8)]
+        assert set(levels) == {5, 7}
+        assert all(type(level) is int for level in levels)
+        assert injector.tr_faults_injected == 8
+
+    def test_bits_are_stored_as_ints(self):
+        wire = make_wire()
+        wire.poke_row(3, np.uint8(1))
+        wire.poke_physical(0, np.uint8(1))
+        wire.write(0, np.uint8(1))
+        wire.transverse_write(np.uint8(1), 0, 1)
+        assert {type(bit) for bit in wire.checkpoint()[0]} == {int}
 
 
 class TestTransverseWrite:

@@ -11,8 +11,12 @@ the paper's geometry (512 tracks, TRD 7), on fixed inputs:
 - ``tolist()`` round trips from arrays to Python lists, counted as the
   interpreter's ``c_call`` profile events of a C function of that name.
 
-The gateway half counts the fsyncs, hub emits, event records and
-executor hand-offs of keyed requests (:data:`GATEWAY_BUDGETS`).
+The faulted row counts the calls of the :class:`FaultInjector` methods
+that draw (:data:`INJECTOR_ENTRY_POINTS`) in a 100-op faulted campaign
+at the benchmark's ``campaign_faults`` settings
+(:data:`FAULTED_CAMPAIGN_BUDGET`). The gateway half counts the fsyncs,
+hub emits, event records and executor hand-offs of keyed requests
+(:data:`GATEWAY_BUDGETS`).
 
 Each count must *equal* its budget. The ratchet rule:
 a change that lowers a count lowers its budget in the same change; a
@@ -29,6 +33,7 @@ import pytest
 from repro import CoruscantSystem
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.pim_logic import BulkOp
+from repro.device.faults import FaultInjector
 from repro.device.stats import DeviceStats
 
 _RNG = random.Random(21)
@@ -132,6 +137,54 @@ def test_kernel_work_equals_its_budget(monkeypatch, kernel):
         "budget with the count, or explain a rise in CHANGES.md"
     )
 
+
+
+# ----------------------------------------------------------------------
+# Faulted row: the fault draws of a campaign under TR and shift faults.
+# A lockstep shift draws in one call, a sensed batch in one call, so
+# the calls count the commands that draw, not the tracks or reads.
+
+#: The FaultInjector methods that draw from its RNG.
+INJECTOR_ENTRY_POINTS = (
+    "perturb_tr_level", "perturb_shift", "sense_batch", "shift_command",
+)
+
+#: entry point -> calls in a 100-op campaign at ``campaign_faults``'
+#: settings (TRD 7, 64 tracks, TR 1e-2, shift 1e-3, 16 storage rows,
+#: scrub every 50 ops, recovery on, seed 7): 192 shift commands and
+#: 1,600 sensed batches, 1,792 in all.
+FAULTED_CAMPAIGN_BUDGET = {
+    "perturb_tr_level": 0,
+    "perturb_shift": 0,
+    "sense_batch": 1600,
+    "shift_command": 192,
+}
+
+
+def test_injector_entry_points_are_every_drawing_method():
+    # A drawing method left off the list would count as no work.
+    drawing = {
+        name for name in _public_methods(FaultInjector)
+        if name not in ("set_rates", "state", "restore_state")
+    }
+    assert drawing == set(INJECTOR_ENTRY_POINTS)
+
+
+def test_faulted_campaign_draw_calls_equal_their_budget(monkeypatch):
+    from repro.reliability.campaign import CampaignConfig, run_add_campaign
+
+    counts = dict.fromkeys(INJECTOR_ENTRY_POINTS, 0)
+    for name in INJECTOR_ENTRY_POINTS:
+        _count(monkeypatch, FaultInjector, name, counts, name)
+    result = run_add_campaign(CampaignConfig(
+        ops=100, trd=7, tracks=64, tr_fault_rate=1e-2, shift_fault_rate=1e-3,
+        storage_rows=16, scrub_interval=50, recovery=True, seed=7,
+    ))
+    assert result.completed and result.ops == 100
+    assert counts == FAULTED_CAMPAIGN_BUDGET, (
+        f"{counts} against a budget of {FAULTED_CAMPAIGN_BUDGET}; lower the "
+        "budget with the count, or explain a rise in CHANGES.md"
+    )
 
 
 # ----------------------------------------------------------------------
