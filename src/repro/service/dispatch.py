@@ -3,9 +3,13 @@
 One :class:`ProfileDispatcher` per device profile owns the profile's
 bounded queues, its request breaker, and ``workers`` asyncio tasks.
 Each worker holds its own :class:`CoruscantSystem` (the simulator is
-not thread-safe, so a system never leaves its worker) and runs kernels
-on the default thread-pool executor so the event loop stays free to
-admit, refuse, and shed.
+not thread-safe, so a system never leaves its worker) and its own
+kernel thread, started with the worker and joined when it drains.
+Each kernel attempt is one hand-off: onto that thread's queue, back
+through a loop future the thread settles. The interpreter lock gives
+the kernel no parallelism, but a long kernel (a CNN inference takes
+tens of milliseconds) or a chaos ``kernel-latency`` sleep still must
+not hold the event loop, which stays free to admit, refuse, and shed.
 
 Lifecycle of one admitted request:
 
@@ -26,6 +30,8 @@ Lifecycle of one admitted request:
 from __future__ import annotations
 
 import asyncio
+import queue
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -108,6 +114,56 @@ class _Job:
     @property
     def priority(self) -> str:
         return self.request.priority
+
+
+def _settle(
+    future: "asyncio.Future", result: Any, error: Optional[BaseException]
+) -> None:
+    if future.cancelled():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+
+
+class _KernelThread:
+    """One worker's own thread: runs its calls one at a time, in order."""
+
+    def __init__(self, name: str) -> None:
+        self._calls: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._run, name=name, daemon=True
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            call = self._calls.get()
+            if call is None:
+                return
+            loop, future, fn, args = call
+            result, error = None, None
+            try:
+                result = fn(*args)
+            except BaseException as exc:  # noqa: BLE001 - settled below
+                error = exc
+            try:
+                loop.call_soon_threadsafe(_settle, future, result, error)
+            except RuntimeError:
+                pass  # the loop has closed: nobody awaits this result
+
+    def call(self, fn, *args: Any) -> "asyncio.Future":
+        """Run ``fn(*args)`` on this thread; a future of its outcome."""
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._calls.put((loop, future, fn, args))
+        return future
+
+    def stop(self) -> None:
+        """Let the thread finish its call in hand, then join it."""
+        self._calls.put(None)
+        self._thread.join()
 
 
 class ProfileDispatcher:
@@ -206,6 +262,13 @@ class ProfileDispatcher:
     # workers
 
     async def _worker(self, index: int) -> None:
+        thread = _KernelThread(f"kernels-{self.profile.name}-{index}")
+        try:
+            await self._serve_jobs(index, thread)
+        finally:
+            thread.stop()
+
+    async def _serve_jobs(self, index: int, thread: _KernelThread) -> None:
         # The worker's private system shares the dispatcher's hub, so
         # device metrics and resilience.op spans land in the same
         # tracer/registry the gateway exports — the tracer is thread-
@@ -243,7 +306,7 @@ class ProfileDispatcher:
                             float(action.get("delay_s", 0.0))
                         )
                 response = await self._process(
-                    system, job.request, context=span.context
+                    system, thread, job.request, context=span.context
                 )
             except ChaosWorkerCrash as exc:
                 # Worker supervision: an injected death escapes per-job
@@ -293,6 +356,7 @@ class ProfileDispatcher:
     async def _process(
         self,
         system,
+        thread: _KernelThread,
         request: KernelRequest,
         context: Optional[TraceContext] = None,
     ) -> ServiceResponse:
@@ -325,10 +389,10 @@ class ProfileDispatcher:
                     ),
                 )
             return await self._process_batch(
-                system, request, items, context=context
+                system, thread, request, items, context=context
             )
         outcome = await self._run_item(
-            system, request, request.payload, item_index=None,
+            system, thread, request, request.payload, item_index=None,
             context=context,
         )
         return self._single_response(request, outcome)
@@ -374,6 +438,7 @@ class ProfileDispatcher:
     async def _process_batch(
         self,
         system,
+        thread: _KernelThread,
         request: KernelRequest,
         items,
         context: Optional[TraceContext] = None,
@@ -402,7 +467,8 @@ class ProfileDispatcher:
                 )
                 continue
             outcome = await self._run_item(
-                system, request, item, item_index=index, context=context
+                system, thread, request, item, item_index=index,
+                context=context,
             )
             retries.extend(outcome["retries"])
             if outcome["kind"] == "ok":
@@ -461,13 +527,13 @@ class ProfileDispatcher:
     async def _run_item(
         self,
         system,
+        thread: _KernelThread,
         request: KernelRequest,
         payload: Dict[str, Any],
         item_index: Optional[int],
         context: Optional[TraceContext] = None,
     ) -> Dict[str, Any]:
         """One payload through the retry loop; never raises KernelFault."""
-        loop = asyncio.get_running_loop()
         purpose = (
             f"service|{self.profile.name}|{request.kernel}"
             f"|{request.retry_key}"
@@ -478,8 +544,7 @@ class ProfileDispatcher:
         while True:
             attempt += 1
             try:
-                result = await loop.run_in_executor(
-                    None,
+                result = await thread.call(
                     run_traced,
                     system,
                     request.kernel,

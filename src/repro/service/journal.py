@@ -2,11 +2,22 @@
 
 The gateway appends an *intent* record after it accepts a request (post
 admission, pre execution) and an *ack* record — carrying the full
-response envelope — once a terminal response exists. Every append is
-``flush`` + ``fsync``, so the journal survives the process: on restart
-the gateway replays every intent without a matching ack (the requests
-that were accepted but died with the process) and answers duplicate
+response envelope — once a terminal response exists. On restart the
+gateway replays every intent without a matching ack (the requests that
+were accepted but died with the process) and answers duplicate
 submissions of an acked idempotency key with the original response.
+
+The commit point is the ack's fsync. Every append is flushed to the
+OS; an ack is also fsynced, and that one fsync makes the ack and every
+record before it durable, this request's intent included. The gateway
+answers only after :meth:`RequestJournal.record_ack` returns, so when
+a response leaves the gateway its ack and all earlier records are on
+disk. Until then an intent sits in the OS page cache: a process crash
+keeps it, and the restart replays it; an OS crash or a power cut can
+lose it, but its client never got an answer and re-sends under its
+key. :meth:`RequestJournal.close` fsyncs whatever was written since
+the last fsync (an intent whose ack was suppressed, say), so a clean
+drain leaves nothing unsynced.
 
 The file is a :class:`repro.utils.durable.JsonlLog`, so a crash
 mid-append tears at most the last record and the next append never
@@ -59,6 +70,8 @@ class RequestJournal:
         self.torn_writes = 0
         self.suppressed_acks = 0
         self.torn_records = 0
+        # Whether a record may have reached the file since its last fsync.
+        self._unsynced = False
         self._log = JsonlLog(path)
         # A torn append (crash or injected fault mid-write) loses its
         # record; everything before it is intact.
@@ -102,8 +115,11 @@ class RequestJournal:
 
     # -- appends -------------------------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record; disk failure degrades, never raises."""
+    def _append(self, record: Dict[str, Any], commit: bool) -> None:
+        """Append one record, and fsync it and all before it if ``commit``.
+
+        Disk failure degrades, never raises.
+        """
         line = encode(record)
         try:
             action = hooks.fire(
@@ -118,15 +134,24 @@ class RequestJournal:
                 fraction = float(action.get("fraction", 0.5))
                 line = line[: max(1, int(len(line) * fraction))]
                 self.torn_writes += 1
+            self._unsynced = True
             self._log.write(line)
-            self._log.sync()
+            if commit:
+                self._sync()
         except OSError:
             self.write_errors += 1
+
+    def _sync(self) -> None:
+        self._log.sync()
+        self._unsynced = False
 
     def record_intent(
         self, key: str, kernel: str, body: Dict[str, Any]
     ) -> None:
-        """Journal an accepted request before it executes."""
+        """Journal an accepted request before it executes.
+
+        Flushed, not fsynced: the request's ack commits it.
+        """
         record = {
             "schema": JOURNAL_SCHEMA,
             "type": "intent",
@@ -136,12 +161,15 @@ class RequestJournal:
         }
         with self._lock:
             self._intent(key, record)
-            self._append(record)
+            self._append(record, commit=False)
 
     def record_ack(
         self, key: str, http_status: int, body: Dict[str, Any]
     ) -> None:
-        """Journal a terminal response; the body is replayed on dedup."""
+        """Journal and commit a terminal response; replayed on dedup.
+
+        Its fsync makes every earlier record durable too.
+        """
         record = {
             "schema": JOURNAL_SCHEMA,
             "type": "ack",
@@ -159,7 +187,7 @@ class RequestJournal:
                 # intent. At-least-once, never lost.
                 self.suppressed_acks += 1
                 return
-            self._append(record)
+            self._append(record, commit=True)
 
     # -- queries -------------------------------------------------------
 
@@ -208,9 +236,17 @@ class RequestJournal:
                 self._log.rewrite(records)
             except OSError:
                 self.write_errors += 1
+            else:
+                self._unsynced = False
 
     def close(self) -> None:
+        """Fsync what was written since the last fsync, then close."""
         with self._lock:
+            if self._unsynced:
+                try:
+                    self._sync()
+                except OSError:
+                    self.write_errors += 1
             self._log.close()
 
 

@@ -408,9 +408,9 @@ def run_traced(
 ) -> Dict:
     """Run one kernel inside a ``service.execute`` span on this thread.
 
-    This is the worker-pool trace bridge: the dispatcher hands the
-    request's :class:`TraceContext` across ``run_in_executor``, this
-    function binds it as the ambient context *in the worker thread*,
+    This is the worker-thread trace bridge: the dispatcher hands the
+    request's :class:`TraceContext` to its worker's own kernel thread,
+    this function binds it as the ambient context *in that thread*,
     and opens the ``service.execute`` span under it — so every span the
     simulator opens below (``resilience.op``, ``cpim.add``, ...) nests
     inside the same trace by plain thread-local stacking.

@@ -1,7 +1,8 @@
-"""The ``loadbench-smoke`` CI job's artifact checks, run on artifacts made here."""
+"""The ``loadbench-smoke`` CI job's checks, run on artifacts made here."""
 
 import contextlib
 import json
+import os
 
 import pytest
 
@@ -36,9 +37,45 @@ def _check(paths):
 def test_artifacts_pass(artifacts, capsys):
     _check(artifacts)
     assert loadbench_smoke.main([
-        artifacts["run.json"], artifacts["smoke.json"], artifacts["events.jsonl"],
+        "artifacts", artifacts["run.json"], artifacts["smoke.json"],
+        artifacts["events.jsonl"],
     ]) == 0
     assert "loadbench smoke OK" in capsys.readouterr().out
+
+
+def test_usage_exits_2():
+    assert loadbench_smoke.main([]) == 2
+    assert loadbench_smoke.main(["a.json", "b.json", "c.jsonl"]) == 2
+    assert loadbench_smoke.main(["fast-baseline"]) == 2
+
+
+def _compare(baseline):
+    """The CI step's loadbench against ``baseline``; its exit code."""
+    with open(os.devnull, "w") as fh, contextlib.redirect_stdout(fh):
+        return cli.main([
+            "loadbench", "--requests", "20", "--seed", "7", "--no-history",
+            "--compare", baseline,
+        ])
+
+
+def test_fast_baseline_trips_the_gate(tmp_path):
+    path = str(tmp_path / "fast.json")
+    assert loadbench_smoke.main(["fast-baseline", path]) == 0
+    assert _compare(path) == 1
+
+
+def test_a_slow_baseline_does_not_trip_the_gate(tmp_path):
+    # The spoiled injection: the exit 1 above comes from the latency the
+    # baseline claims, not from the comparison failing on its own.
+    path = str(tmp_path / "slow.json")
+    loadbench_smoke.write_fast_baseline(path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    for kernel in doc["kernels"]:
+        kernel.update(wall_seconds_min=1e3, wall_seconds_median=1e3)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert _compare(path) == 0
 
 
 def _first_done(events):

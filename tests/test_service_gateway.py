@@ -889,6 +889,317 @@ class TestStartReplay:
         restarted.close()
 
 
+ADD = {"words": [20, 22], "n_bits": 8}
+
+
+class TestCommitPoint:
+    """A keyed answer leaves the gateway only once its ack is on disk."""
+
+    @staticmethod
+    def ack_ends(path):
+        """Key -> the journal offset just past the key's ack record."""
+        ends, offset = {}, 0
+        with open(path, "rb") as handle:
+            for line in handle:
+                offset += len(line)
+                record = json.loads(line)
+                if record["type"] == "ack":
+                    ends[record["key"]] = offset
+        return ends
+
+    @staticmethod
+    def send_concurrently(client, requests, callers=2):
+        """``requests`` (kernel, payload, key), split over ``callers`` threads."""
+        answers = {}
+
+        def caller(share):
+            for kernel, payload, key in share:
+                answers[key] = client.request(
+                    kernel, payload, idempotency_key=key
+                )
+
+        threads = [
+            threading.Thread(target=caller, args=(requests[i::callers],))
+            for i in range(callers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        return answers
+
+    def test_every_keyed_answer_follows_the_fsync_of_its_ack(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.journal import RequestJournal
+
+        path = str(tmp_path / "journal.jsonl")
+        journal = RequestJournal(path)
+        inode = os.stat(path).st_ino
+        synced = [0]  # the journal's size at its latest fsync
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            if stat.st_ino == inode:
+                synced[0] = max(synced[0], stat.st_size)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        gateway = Gateway(workers=2, journal=journal)
+        handle = gateway.handle
+        answered = []
+
+        async def answering(kernel, body, journal_key=None):
+            response = await handle(kernel, body, journal_key=journal_key)
+            # This instant, on the loop, is the answer leaving.
+            answered.append((body["idempotency_key"], synced[0]))
+            return response
+
+        gateway.handle = answering
+        requests = [("add", ADD, f"k{i}") for i in range(40)]
+        with ServiceClient(gateway=gateway) as client:
+            answers = self.send_concurrently(client, requests)
+        assert all(r.status == "ok" for r in answers.values())
+        ends = self.ack_ends(path)
+        assert len(answered) == len(ends) == 40
+        for key, synced_size in answered:
+            assert synced_size >= ends[key], (key, synced_size, ends[key])
+
+    def test_an_intent_survives_a_process_death(self, tmp_path):
+        from repro.service.journal import RequestJournal
+
+        path = str(tmp_path / "journal.jsonl")
+        body = {"payload": ADD, "idempotency_key": "k1"}
+        # Journal the intent, then die without close(): the intent is
+        # flushed to the OS but never fsynced.
+        script = (
+            "import json, os, sys\n"
+            "from repro.service.journal import RequestJournal\n"
+            "fsyncs = []\n"
+            "fsync = os.fsync\n"
+            "os.fsync = lambda fd: (fsyncs.append(fd), fsync(fd))\n"
+            "journal = RequestJournal(sys.argv[1])\n"
+            "journal.record_intent('k1', 'add', json.loads(sys.argv[2]))\n"
+            "print(len(fsyncs), flush=True)\n"
+            "os._exit(0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        died = subprocess.run(
+            [sys.executable, "-c", script, path, json.dumps(body)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert died.returncode == 0, died.stderr
+        assert died.stdout.split() == ["0"]
+        recovered = RequestJournal(path)
+        assert [p["key"] for p in recovered.pending()] == ["k1"]
+        recovered.close()
+
+        gateway = Gateway(workers=1, journal=RequestJournal(path))
+        with ServiceClient(gateway=gateway) as client:
+            assert gateway.last_replay == [
+                {"key": "k1", "kernel": "add", "http_status": 200,
+                 "status": "ok"}
+            ]
+            response = client.request("add", ADD, idempotency_key="k1")
+        assert response.body["replayed"] is True
+        assert response.body["result"]["sum"] == 42
+        restarted = RequestJournal(path)
+        counts = restarted.counts()
+        restarted.close()
+        assert (counts["acks"], counts["pending"]) == (1, 0)
+
+    def test_concurrent_keyed_requests_commit_and_account(self, tmp_path):
+        from repro.chaos.invariants import (
+            check_accounting,
+            check_events_consistency,
+        )
+        from repro.obs.loadgen import build_schedule
+        from repro.service.journal import RequestJournal
+        from repro.telemetry import EventLog, JsonlSink, TelemetryHub
+
+        path = str(tmp_path / "journal.jsonl")
+        events_path = str(tmp_path / "events.jsonl")
+        events = EventLog(JsonlSink(events_path))
+        hub = TelemetryHub(events=events)
+        gateway = Gateway(
+            workers=2, journal=RequestJournal(path), telemetry=hub
+        )
+        requests = [
+            (item.kernel, item.payload, f"k{item.index}")
+            for item in build_schedule("mixed", 200, seed=7)
+        ]
+        try:
+            with ServiceClient(gateway=gateway) as client:
+                answers = self.send_concurrently(client, requests)
+        finally:
+            events.close()
+        assert len(answers) == 200
+        assert all(r.status == "ok" for r in answers.values())
+        journal = RequestJournal(path)
+        counts = journal.counts()
+        journal.close()
+        assert (counts["acks"], counts["pending"], counts["torn_records"]) \
+            == (200, 0, 0)
+        counters = hub.metrics.as_dict()["counters"]
+        with open(events_path) as handle:
+            done = [
+                record.get("trace_id")
+                for record in map(json.loads, handle)
+                if record["event"] == "service.request.done"
+            ]
+        for check in (
+            check_accounting(200, counters),
+            check_events_consistency(counters, done),
+        ):
+            assert check["ok"], check
+
+
+class TestWorkerThreads:
+    """Each dispatcher worker runs its kernels on a thread it owns."""
+
+    def test_drain_leaves_no_worker_thread(self):
+        before = set(threading.enumerate())
+        client = ServiceClient(workers=2)
+        with client:
+            assert client.request("add", ADD).status == "ok"
+            started = set(threading.enumerate()) - before
+            workers = sum(
+                d.workers for d in client.gateway.dispatchers.values()
+            )
+            assert sum(
+                t.name.startswith("kernels-") for t in started
+            ) == workers
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_long_kernel_does_not_hold_the_loop(self, monkeypatch):
+        from repro.service import kernels
+
+        entered = threading.Event()
+        entry = kernels.CATALOGUE["multiply"]
+
+        def slow_multiply(system, payload, deadline):
+            entered.set()
+            time.sleep(0.3)
+            return entry.run(system, payload, deadline)
+
+        monkeypatch.setitem(
+            kernels.CATALOGUE, "multiply", entry._replace(run=slow_multiply)
+        )
+        order = []
+
+        async def send(gateway, kernel, payload):
+            started = time.monotonic()
+            response = await gateway.handle(kernel, {"payload": payload})
+            order.append(kernel)
+            return response, time.monotonic() - started
+
+        async def scenario():
+            gateway = Gateway(workers=2)
+            await gateway.start_core()
+            try:
+                slow = asyncio.ensure_future(
+                    send(gateway, "multiply", {"a": 6, "b": 7, "n_bits": 8})
+                )
+                while not entered.is_set():
+                    await asyncio.sleep(0.001)
+                fast = await send(gateway, "add", ADD)
+                return fast, await slow
+            finally:
+                await gateway.shutdown()
+
+        (fast, fast_s), (slow, _slow_s) = asyncio.run(scenario())
+        assert order == ["add", "multiply"]
+        assert fast.status == "ok" and fast.body["result"]["sum"] == 42
+        assert slow.status == "ok"
+        assert fast_s < 0.15
+
+    def test_a_failing_kernel_is_500_and_the_worker_serves_on(
+        self, monkeypatch
+    ):
+        from repro.service import kernels
+
+        threads = []
+        entry = kernels.CATALOGUE["add"]
+
+        def broken_once(system, payload, deadline):
+            threads.append(threading.current_thread())
+            if len(threads) == 1:
+                raise RuntimeError("runner broke")
+            return entry.run(system, payload, deadline)
+
+        monkeypatch.setitem(
+            kernels.CATALOGUE, "add", entry._replace(run=broken_once)
+        )
+        with ServiceClient(workers=1) as client:
+            failed = client.request("add", ADD)
+            served = client.request("add", ADD)
+        assert failed.http_status == 500
+        assert (failed.body["error"], failed.body["message"]) == (
+            "internal", "runner broke"
+        )
+        assert served.status == "ok" and served.body["result"]["sum"] == 42
+        assert threads[0] is threads[1]
+        assert threads[0].name == "kernels-default-0"
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self):
+        # Futures settled from four kernel threads while the loop admits
+        # from six callers: every answer arrives once, and right.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceClient(workers=4) as client:
+                answers = TestCommitPoint.send_concurrently(client, [
+                    ("add", {"words": [i, 7], "n_bits": 8}, f"k{i}")
+                    for i in range(80)
+                ], callers=6)
+                counters = client.gateway.telemetry.metrics.as_dict()[
+                    "counters"
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(answers) == sorted(f"k{i}" for i in range(80))
+        assert all(
+            answers[f"k{i}"].body["result"]["sum"] == i + 7
+            for i in range(80)
+        )
+        assert counters["service.requests"] == 80
+
+    def test_the_thread_outlives_what_it_runs(self):
+        from repro.service.dispatch import _KernelThread
+
+        class Halt(BaseException):
+            pass
+
+        def halt():
+            raise Halt()
+
+        release = threading.Event()
+        thread = _KernelThread("kernels-test")
+
+        async def first_loop():
+            with pytest.raises(Halt):
+                await thread.call(halt)
+            assert await thread.call(pow, 6, 2) == 36
+            # Still running when this loop closes: its result is dropped.
+            thread.call(release.wait, 30)
+
+        async def second_loop():
+            return await thread.call(pow, 2, 5)
+
+        try:
+            asyncio.run(first_loop())
+            release.set()
+            assert asyncio.run(second_loop()) == 32
+        finally:
+            release.set()
+            thread.stop()
+        assert not any(
+            t.name == "kernels-test" for t in threading.enumerate()
+        )
+
+
 class TestHttpErrors:
     """Malformed wire input is a 400; a fault in a handler is a 500."""
 

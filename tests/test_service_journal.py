@@ -1,9 +1,10 @@
 """Unit tests for the crash-durable request journal.
 
-The contract under test: every append is durable and torn-write
-scoped, recovery tolerates a corrupt final record, acks answer
-duplicates with the original body, and disk failure degrades into
-counters instead of reaching the request path.
+The contract under test: an ack's fsync commits it and every record
+before it, ``close()`` commits whatever is left, every append is
+torn-write scoped, recovery tolerates a corrupt final record, acks
+answer duplicates with the original body, and disk failure degrades
+into counters instead of reaching the request path.
 """
 
 import json
@@ -457,3 +458,58 @@ class TestJournalPendingCount:
                         recovered.close()
             finally:
                 journal.close()
+
+
+class TestJournalCommitPoint:
+    """One fsync per ack; ``close()`` fsyncs only what is unsynced."""
+
+    @staticmethod
+    def count_fsyncs(monkeypatch):
+        calls = []
+        fsync = os.fsync
+
+        def counted(fd):
+            calls.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counted)
+        return calls
+
+    def test_the_ack_fsyncs_and_the_intent_does_not(
+        self, tmp_path, monkeypatch
+    ):
+        journal = make(tmp_path)
+        fsyncs = self.count_fsyncs(monkeypatch)
+        journal.record_intent("k", "add", {})
+        assert fsyncs == []
+        journal.record_ack("k", 200, {"status": "ok"})
+        assert len(fsyncs) == 1
+        journal.close()
+        assert len(fsyncs) == 1  # nothing written since the ack's fsync
+
+    def test_close_commits_after_a_suppressed_ack(self, tmp_path, monkeypatch):
+        journal = make(tmp_path)
+        fsyncs = self.count_fsyncs(monkeypatch)
+        journal.record_intent("k", "add", {})
+        hooks.activate(_SuppressAcks())
+        try:
+            journal.record_ack("k", 200, {"status": "ok"})
+        finally:
+            hooks.deactivate()
+        assert fsyncs == []
+        journal.close()
+        assert len(fsyncs) == 1
+        recovered = make(tmp_path)
+        assert [p["key"] for p in recovered.pending()] == ["k"]
+        recovered.close()
+
+    def test_close_without_writes_makes_no_fsync(self, tmp_path, monkeypatch):
+        journal = make(tmp_path)
+        journal.record_intent("k", "add", {})
+        journal.close()
+        fsyncs = self.count_fsyncs(monkeypatch)
+        for _ in range(2):
+            reopened = make(tmp_path)
+            assert [p["key"] for p in reopened.pending()] == ["k"]
+            reopened.close()
+        assert fsyncs == []

@@ -15,7 +15,7 @@ The faulted row counts the calls of the :class:`FaultInjector` methods
 that draw (:data:`INJECTOR_ENTRY_POINTS`) in a 100-op faulted campaign
 at the benchmark's ``campaign_faults`` settings
 (:data:`FAULTED_CAMPAIGN_BUDGET`). The gateway half counts the fsyncs,
-hub emits, event records and executor hand-offs of keyed requests
+hub emits, event records and worker-thread hand-offs of keyed requests
 (:data:`GATEWAY_BUDGETS`).
 
 Each count must *equal* its budget. The ratchet rule:
@@ -192,12 +192,15 @@ def test_faulted_campaign_draw_calls_equal_their_budget(monkeypatch):
 # an event log, counted after start-up over the seed-7 ``mixed``
 # schedule, one request at a time, with no resubmits.
 
-#: work -> calls for the 200 requests.
+#: work -> calls for the 200 requests: one fsync per request (its ack
+#: commits its intent too) and one hand-off to a worker's own kernel
+#: thread per kernel attempt; nothing goes through ``run_in_executor``.
 GATEWAY_BUDGETS = {
-    "os.fsync": 400,
+    "os.fsync": 200,
     "TelemetryHub.emit": 705,
     "EventLog.emit": 505,
-    "run_in_executor": 200,
+    "_KernelThread.call": 200,
+    "run_in_executor": 0,
 }
 
 
@@ -217,6 +220,7 @@ def test_gateway_work_equals_its_budget(monkeypatch, tmp_path):
     import os
 
     from repro.obs.loadgen import build_schedule
+    from repro.service import dispatch
     from repro.service.client import ServiceClient
     from repro.service.gateway import Gateway
     from repro.service.journal import RequestJournal
@@ -235,6 +239,10 @@ def test_gateway_work_equals_its_budget(monkeypatch, tmp_path):
             _count(patch, os, "fsync", counts, "os.fsync")
             _count(patch, TelemetryHub, "emit", counts, "TelemetryHub.emit")
             _count(patch, EventLog, "emit", counts, "EventLog.emit")
+            _count(
+                patch, dispatch._KernelThread, "call", counts,
+                "_KernelThread.call",
+            )
             _count(
                 patch, asyncio.BaseEventLoop, "run_in_executor", counts,
                 "run_in_executor",
